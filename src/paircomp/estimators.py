@@ -7,12 +7,13 @@
 * :func:`bt_mle` — maximum likelihood for the Bradley-Terry (logistic) and
   Thurstone (standard normal) models, gauge-fixed at m_1 = 0.
 
-Solver choices: the logistic likelihood is maximized by the
-minorize-maximize fixed point on the odds pi_i = exp(m_i), which ascends the
-likelihood monotonically and converges whenever the Ford condition holds; the
-normal likelihood is concave and solved by damped Newton; the eigenvalue
-completion uses cyclic coordinate descent with univariate Brent minimization,
-whose optimum is unique for connected comparison graphs.
+Solver choices: both likelihoods are concave and maximized by one batched
+damped Newton solver, whose Hessian is a graph Laplacian weighted by the
+curvature of ln F on each pair; it converges when the full Newton step is
+below the tolerance, which bounds the error because convergence is
+quadratic near the optimum.  The eigenvalue completion uses cyclic
+coordinate descent with univariate Brent minimization, whose optimum is
+unique for connected comparison graphs.
 
 All iteration is in lexicographic pair order, so results are reproducible
 bit for bit.
@@ -37,7 +38,7 @@ from .core import (
 )
 from .errors import DisconnectedGraph, FordViolation, NoConvergence
 
-#: Stop when the max-norm change of m between iterations falls below this.
+#: Maximum likelihood has converged when the full Newton step's max norm is below this.
 DEFAULT_MLE_TOL = 1e-10
 #: Residual tolerance of the power iteration eigenpair.
 DEFAULT_EIG_TOL = 1e-12
@@ -106,6 +107,26 @@ def _score(delta, model: ModelKind):
     return _mills(delta)
 
 
+def _incidence_sums(at_i, at_j, ii, jj, n):
+    """Row-wise vertex sums over the pairs (ii[s], jj[s]): at_i[:, s] goes to
+    vertex ii[s] and at_j[:, s] to jj[s]; shape (rows, n).  Each vertex adds
+    its terms in lexicographic pair order, whatever the number of rows."""
+    rows = at_i.shape[0]
+    bins = (np.arange(rows)[:, None] * n + np.concatenate([jj, ii])).ravel()
+    values = np.concatenate([at_j, at_i], axis=1).ravel()
+    return np.bincount(bins, values, rows * n).reshape(rows, n)
+
+
+def _laplacian_rows(weights, ii, jj, n):
+    """Graph Laplacians of shape (rows, n, n), one per row of pair weights."""
+    lap = np.zeros((weights.shape[0], n, n))
+    lap[:, ii, jj] = -weights
+    lap[:, jj, ii] = -weights
+    diagonal = np.arange(n)
+    lap[:, diagonal, diagonal] = _incidence_sums(weights, weights, ii, jj, n)
+    return lap
+
+
 def log_likelihood_gradient(
     data: DataMatrix, m: ExpectedValueVector, model: ModelKind
 ) -> np.ndarray:
@@ -116,10 +137,7 @@ def log_likelihood_gradient(
     ii, jj, d1, d2 = _pair_data(data)
     delta = m.values[ii] - m.values[jj]
     g_pair = d2 * _score(delta, model) - d1 * _score(-delta, model)
-    grad = np.zeros(data.n)
-    np.add.at(grad, ii, g_pair)
-    np.add.at(grad, jj, -g_pair)
-    return grad
+    return _incidence_sums(g_pair[None, :], -g_pair[None, :], ii, jj, data.n)[0]
 
 
 def weights_from_m(m: ExpectedValueVector) -> WeightVector:
@@ -138,109 +156,77 @@ def m_from_weights(w: WeightVector) -> ExpectedValueVector:
 # Bradley-Terry / Thurstone maximum likelihood
 
 
-def _mm_wins(d1, d2, ii, jj, n):
-    wins = np.zeros((d1.shape[0], n))
-    for s in range(len(ii)):
-        wins[:, ii[s]] += d2[:, s]
-        wins[:, jj[s]] += d1[:, s]
-    return wins
-
-
-def _mm_sweep(pi, totals, ii, jj, wins):
-    """One minorize-maximize update of the odds rows, renormalized to
-    pi_1 = 1."""
-    denom = np.zeros_like(pi)
-    paired = totals / (pi[:, ii] + pi[:, jj])
-    for s in range(len(ii)):
-        denom[:, ii[s]] += paired[:, s]
-        denom[:, jj[s]] += paired[:, s]
-    new = wins / denom
-    return new / new[:, :1]
-
-
 def mm_step(data: DataMatrix, pi: np.ndarray) -> np.ndarray:
-    """One MM fixed-point update of the odds vector pi (pi_i = exp(m_i)).
+    """One minorize-maximize update (Hunter 2004) of the logistic odds vector
+    pi (pi_i = exp(m_i)), renormalized to pi_1 = 1.
 
-    Exposed as the building block of the logistic solver so the likelihood
-    ascent can be observed step by step.
+    Every step ascends the Bradley-Terry likelihood, so the ascent can be
+    observed step by step; :func:`bt_mle` itself uses damped Newton.
     """
     ii, jj, d1, d2 = _pair_data(data)
-    pi2 = np.asarray(pi, dtype=float)[None, :]
-    wins = _mm_wins(d1[None, :], d2[None, :], ii, jj, data.n)
-    return _mm_sweep(pi2, (d1 + d2)[None, :], ii, jj, wins)[0]
+    pi = np.asarray(pi, dtype=float)
+    n = data.n
+    wins = np.bincount(ii, d2, n) + np.bincount(jj, d1, n)
+    paired = (d1 + d2) / (pi[ii] + pi[jj])
+    new = wins / (np.bincount(ii, paired, n) + np.bincount(jj, paired, n))
+    return new / new[0]
 
 
-def _mm_solve(d1, d2, ii, jj, n, tol, max_iter):
-    """Run the MM fixed point on each row of (d1, d2) independently.
+def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
+    """Damped Newton ascent of the concave log-likelihood in the m_1 = 0
+    gauge, one independent problem per row of (d1, d2).
 
-    Rows are frozen as soon as their own max |change of m| drops below tol,
-    so every row's trajectory is identical to a run of that row alone.
-    Returns (m rows, iterations per row, converged mask).
+    The negative Hessian is the graph Laplacian weighted by the pair
+    curvatures.  A row stops, and is frozen, when its full Newton step is
+    below ``tol``; every row's trajectory is therefore identical to a run of
+    that row alone.  Returns (m rows, iterations per row, converged mask).
     """
     rows = d1.shape[0]
-    wins = _mm_wins(d1, d2, ii, jj, n)
-    totals = d1 + d2
-    log_pi = np.zeros((rows, n))
-    pi = np.ones((rows, n))
+    m = np.zeros((rows, n))
+    current = _loglik_rows(m, ii, jj, d1, d2, model)
     iterations = np.zeros(rows, dtype=np.intp)
     active = np.arange(rows)
     for step in range(1, max_iter + 1):
-        new = _mm_sweep(pi[active], totals[active], ii, jj, wins[active])
-        log_new = np.log(new)
-        change = np.max(np.abs(log_new - log_pi[active]), axis=1)
-        pi[active] = new
-        log_pi[active] = log_new
+        ma, a1, a2 = m[active], d1[active], d2[active]
+        delta = ma[:, ii] - ma[:, jj]
+        s_pos, s_neg = _score(delta, model), _score(-delta, model)
+        g_pair = a2 * s_pos - a1 * s_neg
+        grad = _incidence_sums(g_pair, -g_pair, ii, jj, n)
+        # Pair curvatures -(ln F)'': p(1 - p) for the logistic, which is even in
+        # delta; s(delta + s) with s = phi/Phi for the normal.  Both are
+        # positive, so the reduced Laplacian is definite on connected graphs.
+        if model is ModelKind.LOGISTIC:
+            h_pair = (a1 + a2) * s_pos * s_neg
+        else:
+            h_pair = a2 * s_pos * (delta + s_pos) + a1 * s_neg * (s_neg - delta)
+        hess = _laplacian_rows(h_pair, ii, jj, n)
+        direction = np.zeros_like(ma)
+        direction[:, 1:] = np.linalg.solve(hess[:, 1:, 1:], grad[:, 1:, None])[..., 0]
         iterations[active] = step
-        done = change < tol
-        if done.any():
-            active = active[~done]
-            if active.size == 0:
+        # Take the full step where the ascent it promises (half the Newton
+        # decrement) is below the rounding of the log-likelihood: there a
+        # line search compares noise.  Elsewhere halve until it ascends.
+        gain = 0.5 * np.sum(grad * direction, axis=1)
+        scale = np.ones(len(active))
+        search = np.flatnonzero(gain > len(ii) * np.finfo(float).eps * np.abs(current[active]))
+        for _ in range(60):
+            if search.size == 0:
                 break
+            value = _loglik_rows(
+                ma[search] + scale[search, None] * direction[search],
+                ii, jj, a1[search], a2[search], model,
+            )
+            ascended = value >= current[active[search]]
+            current[active[search[ascended]]] = value[ascended]
+            search = search[~ascended]
+            scale[search] *= 0.5
+        m[active] = ma + scale[:, None] * direction
+        active = active[~(np.max(np.abs(direction), axis=1) < tol)]
+        if active.size == 0:
+            break
     converged = np.ones(rows, dtype=bool)
     converged[active] = False
-    return log_pi, iterations, converged
-
-
-def _newton_normal(ii, jj, d1, d2, n, tol, max_iter):
-    """Damped Newton ascent of the concave Thurstone log-likelihood in the
-    m_1 = 0 gauge.  Returns (m, iterations, converged)."""
-    m = np.zeros(n)
-    model = ModelKind.NORMAL
-    current = float(_loglik_rows(m[None, :], ii, jj, d1[None, :], d2[None, :], model)[0])
-    for step in range(1, max_iter + 1):
-        delta = m[ii] - m[jj]
-        s_pos = _mills(delta)
-        s_neg = _mills(-delta)
-        g_pair = d2 * s_pos - d1 * s_neg
-        # d/dx of phi/Phi is -(phi/Phi)(x + phi/Phi): strictly negative, which
-        # keeps the reduced Hessian negative definite on connected graphs.
-        h_pair = d2 * (-s_pos * (delta + s_pos)) + d1 * (-s_neg * (-delta + s_neg))
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        for s in range(len(ii)):
-            i, j, g, h = ii[s], jj[s], g_pair[s], h_pair[s]
-            grad[i] += g
-            grad[j] -= g
-            hess[i, i] += h
-            hess[j, j] += h
-            hess[i, j] -= h
-            hess[j, i] -= h
-        direction = np.zeros(n)
-        direction[1:] = np.linalg.solve(hess[1:, 1:], -grad[1:])
-        scale = 1.0
-        for _ in range(60):
-            candidate = m + scale * direction
-            value = float(
-                _loglik_rows(candidate[None, :], ii, jj, d1[None, :], d2[None, :], model)[0]
-            )
-            if value >= current:
-                break
-            scale *= 0.5
-        m = m + scale * direction
-        current = value
-        if np.max(np.abs(scale * direction)) < tol:
-            return m, step, True
-    return m, max_iter, False
+    return m, iterations, converged
 
 
 def bt_mle(
@@ -264,16 +250,13 @@ def bt_mle(
     if data.n == 1:
         return MleResult(ExpectedValueVector(np.zeros(1)), 0.0, 0, True)
     ii, jj, d1, d2 = _pair_data(data)
-    if model is ModelKind.LOGISTIC:
-        log_pi, iterations, converged = _mm_solve(
-            d1[None, :], d2[None, :], ii, jj, data.n, tol, max_iter
-        )
-        m_values, steps, ok = log_pi[0], int(iterations[0]), bool(converged[0])
-    else:
-        m_values, steps, ok = _newton_normal(ii, jj, d1, d2, data.n, tol, max_iter)
-    if not ok:
+    m_rows, iterations, converged = _newton_rows(
+        d1[None, :], d2[None, :], ii, jj, data.n, model, tol, max_iter
+    )
+    steps = int(iterations[0])
+    if not converged[0]:
         raise NoConvergence("maximum likelihood iteration did not converge", steps)
-    m = ExpectedValueVector(m_values)
+    m = ExpectedValueVector(m_rows[0])
     return MleResult(m, log_likelihood(data, m, model), steps, True)
 
 
@@ -292,16 +275,12 @@ def llsm(pcm: IPCM) -> WeightVector:
     n = pcm.n
     if n == 1:
         return WeightVector(np.ones(1))
-    laplacian = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for i, j in pcm.known_pairs():
-        log_ratio = math.log(pcm.entries[(i, j)])
-        laplacian[i, i] += 1.0
-        laplacian[j, j] += 1.0
-        laplacian[i, j] -= 1.0
-        laplacian[j, i] -= 1.0
-        rhs[i] += log_ratio
-        rhs[j] -= log_ratio
+    pairs = pcm.known_pairs()
+    ii = np.array([p[0] for p in pairs], dtype=np.intp)
+    jj = np.array([p[1] for p in pairs], dtype=np.intp)
+    log_ratio = np.array([[math.log(pcm.entries[p]) for p in pairs]])
+    laplacian = _laplacian_rows(np.ones_like(log_ratio), ii, jj, n)[0]
+    rhs = _incidence_sums(log_ratio, -log_ratio, ii, jj, n)[0]
     y = np.zeros(n)
     y[1:] = np.linalg.solve(laplacian[1:, 1:], rhs[1:])
     return WeightVector.normalized(np.exp(y - y.max()))

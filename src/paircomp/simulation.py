@@ -33,13 +33,7 @@ from .core import (
     WeightVector,
     exact_probabilities,
 )
-from .estimators import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_MLE_TOL,
-    _mm_solve,
-    _newton_normal,
-    m_from_weights,
-)
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows, m_from_weights
 from .graphs import GraphClass, enumerate_connected
 
 #: Measure column names, in canonical order.
@@ -267,20 +261,6 @@ def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     return rows
 
 
-def _solve_rows(d1, d2, ii, jj, n, model: ModelKind):
-    """Per-row MLE; returns (m rows, converged mask)."""
-    if model is ModelKind.LOGISTIC:
-        m, _, converged = _mm_solve(d1, d2, ii, jj, n, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER)
-        return m, converged
-    m = np.empty((d1.shape[0], n))
-    converged = np.empty(d1.shape[0], dtype=bool)
-    for r in range(d1.shape[0]):
-        m[r], _, converged[r] = _newton_normal(
-            ii, jj, d1[r], d2[r], n, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER
-        )
-    return m, converged
-
-
 def _solve_chunk(config: SimulationConfig, start: int, stop: int):
     """Measures of shape (stop - start, classes, 6) plus failure records
     (global replication index, graph id or None for the complete stage)."""
@@ -296,7 +276,9 @@ def _solve_chunk(config: SimulationConfig, start: int, stop: int):
     d2 = 1.0 - d1
 
     failures: list[tuple[int, int | None]] = []
-    m_full, converged = _solve_rows(d1, d2, ii, jj, n, config.model)
+    m_full, _, converged = _newton_rows(
+        d1, d2, ii, jj, n, config.model, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER
+    )
     failures.extend((start + r, None) for r in np.flatnonzero(~converged))
     w_full = _softmax_rows(m_full)
 
@@ -307,9 +289,10 @@ def _solve_chunk(config: SimulationConfig, start: int, stop: int):
             m_part, ok = m_full, converged
         else:
             cols = [column[p] for p in edges]
-            sub_ii = np.array([p[0] for p in edges], dtype=np.intp)
-            sub_jj = np.array([p[1] for p in edges], dtype=np.intp)
-            m_part, ok = _solve_rows(d1[:, cols], d2[:, cols], sub_ii, sub_jj, n, config.model)
+            m_part, _, ok = _newton_rows(
+                d1[:, cols], d2[:, cols], ii[cols], jj[cols], n, config.model,
+                DEFAULT_MLE_TOL, DEFAULT_MAX_ITER,
+            )
             failures.extend((start + r, cls.id) for r in np.flatnonzero(~ok))
         measures[:, g, :] = _measure_rows(m_full, w_full, m_part, _softmax_rows(m_part))
     return measures, failures
@@ -372,20 +355,18 @@ def run(
     for replication, _ in failures:
         included[replication] = False
 
-    sqrt2 = math.sqrt(2.0)
+    # Distances are finite and nonnegative (weight vectors lie in the simplex,
+    # so eu_w <= sqrt 2); correlations that exist lie in [-1, 1].
+    ranges = {"eu_m": (0.0, math.inf), "eu_w": (0.0, math.sqrt(2.0) + 1e-9)}
     stats: dict[tuple[int, str], MeasureStats] = {}
     for g, cls in enumerate(classes):
         for k, name in enumerate(MEASURE_NAMES):
             values = measures[included, g, k]
             finite = np.isfinite(values)
-            if name in ("eu_m", "eu_w"):
-                assert finite.all(), f"distance {name} must always be finite"
-                assert np.all(values >= 0.0)
-                if name == "eu_w":
-                    assert np.all(values <= sqrt2 + 1e-9)
-            else:
-                assert np.all(np.abs(values[finite]) <= 1.0 + 1e-9)
             kept = values[finite]
+            low, high = ranges.get(name, (-1.0 - 1e-9, 1.0 + 1e-9))
+            if (name in ranges and not finite.all()) or np.any((kept < low) | (kept > high)):
+                raise RuntimeError(f"measure {name} of structure {cls.id} is out of range")
             count = int(kept.size)
             mean = float(kept.mean()) if count else float("nan")
             stddev = float(kept.std(ddof=1)) if count >= 2 else 0.0

@@ -230,6 +230,23 @@ class TestBtMle:
             bt_mle(probs_modified, max_iter=2)
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_converged_means_zero_gradient(self, model):
+        # Replication 189 of n=5, perturb=0.15, seed=1 (normal), restricted to
+        # class 9: a solver that stops on a damped step reports convergence
+        # with a gradient of 2e-8 here.
+        d1 = {
+            (0, 4): 0.3304916057440756,
+            (1, 3): 0.3267533122522752,
+            (1, 4): 0.38858736674523275,
+            (2, 3): 0.21186031740581035,
+            (2, 4): 0.355817933662842,
+            (3, 4): 0.69903231692994,
+        }
+        data = DataMatrix(5, {pair: (v, 1.0 - v) for pair, v in d1.items()})
+        result = bt_mle(data, model)
+        assert np.max(np.abs(log_likelihood_gradient(data, result.m, model))) <= 1e-10
+
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     def test_agrees_with_generic_optimizer(self, model):
         # Independent oracle: BFGS on the negative log-likelihood over the
         # free coordinates, with the analytic gradient.

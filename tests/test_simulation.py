@@ -24,7 +24,7 @@ from paircomp import (
     similarity,
     star_class,
 )
-from paircomp.estimators import _mm_solve, _pair_data
+from paircomp.estimators import _newton_rows, _pair_data
 from paircomp.simulation import MEASURE_NAMES, _chunk_bounds
 
 
@@ -189,7 +189,8 @@ class TestErrorBound:
 
 
 class TestBatchSolver:
-    def test_batch_rows_match_single_calls(self):
+    @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
+    def test_batch_rows_match_single_calls(self, model):
         # The experiment's batch path must agree with bt_mle row by row.
         rng = np.random.default_rng(55)
         graph = ComparisonGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -206,10 +207,10 @@ class TestBatchSolver:
         d1 = np.array(rows)
         d2 = 1.0 - d1
         ii, jj, _, _ = _pair_data(mats[0])
-        batch_m, _, converged = _mm_solve(d1, d2, ii, jj, 5, 1e-10, 100_000)
+        batch_m, _, converged = _newton_rows(d1, d2, ii, jj, 5, model, 1e-10, 100_000)
         assert converged.all()
         for r, data in enumerate(mats):
-            single = bt_mle(data)
+            single = bt_mle(data, model)
             assert np.array_equal(batch_m[r], single.m.values)
 
     def test_chunking_does_not_change_results(self):
@@ -306,7 +307,7 @@ class TestRun:
 def test_failed_replications_are_excluded_and_counted(monkeypatch):
     import paircomp.simulation as sim
 
-    # One MM sweep can never reach tolerance on perturbed data, so every
+    # One Newton step can never reach tolerance on perturbed data, so every
     # replication fails and is excluded from every cell.
     monkeypatch.setattr(sim, "DEFAULT_MAX_ITER", 1)
     config = SimulationConfig(n=4, perturb=0.2, num_sims=3, seed=13)
@@ -326,6 +327,21 @@ def test_failed_replications_are_excluded_and_counted(monkeypatch):
     write_results(summary, buffer)
     rows = read_results(_io.StringIO(buffer.getvalue()))
     assert all(math.isnan(r.mean) and r.excluded == 3 for r in rows)
+
+
+def test_out_of_range_measure_raises(monkeypatch):
+    # The invariant checks of run() are explicit, so they hold under python -O.
+    import paircomp.simulation as sim
+
+    def negative_distance(config, start, stop):
+        measures = np.zeros((stop - start, len(sim.enumerate_connected(config.n)), 6))
+        measures[:, :, 0] = -1.0
+        return measures, []
+
+    monkeypatch.setenv("PAIRCOMP_THREADS", "1")
+    monkeypatch.setattr(sim, "_solve_chunk", negative_distance)
+    with pytest.raises(RuntimeError):
+        run(SimulationConfig(n=4, perturb=0.1, num_sims=2, seed=1))
 
 
 @pytest.mark.slow
