@@ -99,6 +99,7 @@ def _cmd_rank(args) -> int:
             result = em(evaluated)
             weights = result.weights
             payload["lambda_max"] = result.lambda_max
+            payload["iterations"] = result.iterations
     payload["n"] = len(weights)
     payload["weights"] = list(weights.values)
     payload["ranks"] = list(_ranks_descending(weights.values))

@@ -11,9 +11,11 @@ Solver choices: both likelihoods are concave and maximized by one batched
 damped Newton solver, whose Hessian is a graph Laplacian weighted by the
 curvature of ln F on each pair; it converges when the full Newton step is
 below the tolerance, which bounds the error because convergence is
-quadratic near the optimum.  The eigenvalue completion uses cyclic
-coordinate descent with univariate Brent minimization, whose optimum is
-unique for connected comparison graphs.
+quadratic near the optimum.  The eigenvalue completion minimizes
+log lambda_max, which is convex in the logs of the missing entries with a
+unique optimum on connected comparison graphs, by damped Newton with the
+exact Perron gradient and Hessian; eigenpairs come from the dense
+eigendecomposition.
 
 All iteration is in lexicographic pair order, so results are reproducible
 bit for bit.
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
 from .core import (
@@ -40,9 +41,10 @@ from .errors import DisconnectedGraph, FordViolation, NoConvergence
 
 #: Maximum likelihood has converged when the full Newton step's max norm is below this.
 DEFAULT_MLE_TOL = 1e-10
-#: Residual tolerance of the power iteration eigenpair.
+#: Relative residual ||A w - lambda w||_inf the Perron eigenpair must meet.
 DEFAULT_EIG_TOL = 1e-12
-#: Stop the eigenvalue-minimal completion when a sweep lowers lambda_max less.
+#: The eigenvalue-minimal completion has converged when the full Newton step's
+#: max norm (in the log entries) is below this.
 DEFAULT_COMPLETION_TOL = 1e-12
 #: Iteration cap shared by all solvers.
 DEFAULT_MAX_ITER = 100_000
@@ -51,10 +53,12 @@ DEFAULT_MAX_ITER = 100_000
 @dataclass(frozen=True, eq=False)
 class EmResult:
     """Eigenvector evaluation: weights and the principal eigenvalue of the
-    evaluated (or optimally completed) matrix."""
+    evaluated (or optimally completed) matrix, and the Newton steps of the
+    completion (0 for a complete matrix)."""
 
     weights: WeightVector
     lambda_max: float
+    iterations: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,63 +294,81 @@ def llsm(pcm: IPCM) -> WeightVector:
 # Eigenvector method
 
 
-def _principal_eigenpair(matrix: np.ndarray, tol: float, max_iter: int):
-    """Perron eigenpair of a positive matrix by power iteration from the
-    all-ones vector; the eigenvector is normalized to sum 1.  The residual
-    test is relative to the iterate's magnitude so matrices with large
-    entries converge at the same precision."""
-    n = matrix.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        y = matrix @ x
-        lam = float(x @ y / (x @ x))
-        x = y / y.sum()
-        z = matrix @ x
-        if np.max(np.abs(z - lam * x)) <= tol * max(1.0, float(np.max(np.abs(z)))):
-            return lam, x
-    raise NoConvergence("power iteration did not reach its residual tolerance", max_iter)
+def _perron_pair(matrix: np.ndarray):
+    """Perron root and right Perron vector, scaled to sum 1, of a positive
+    matrix, from the dense eigendecomposition."""
+    values, vectors = np.linalg.eig(matrix)
+    top = int(np.argmax(values.real))
+    vec = vectors[:, top].real
+    return float(values[top].real), vec / vec.sum()
 
 
-def _complete_lambda_min(pcm: IPCM, eig_tol, completion_tol, max_iter):
-    """Fill the missing entries of a partial matrix by minimizing the
-    principal eigenvalue, parametrizing entry (i, j) as exp(t) and (j, i) as
-    exp(-t).  Cyclic coordinate descent; each coordinate is minimized by
-    Brent's method.  The optimum is unique for connected graphs."""
-    base = pcm.as_array(missing=1.0)
+def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
+    """Fill the missing entries of a partial matrix by minimizing
+    f(t) = log lambda_max, with entry (i, j) parametrized as exp(t) and
+    (j, i) as exp(-t).  f is convex in t and its minimum is unique on
+    connected graphs (Bozoki, Fulop & Ronyai 2010), so damped Newton with the
+    exact Perron derivatives converges in a few steps.  Returns the completed
+    matrix and the number of Newton steps."""
+    n = pcm.n
     known = set(pcm.known_pairs())
-    missing = [
-        (i, j) for i in range(pcm.n) for j in range(i + 1, pcm.n) if (i, j) not in known
-    ]
-    # Start from the least-squares completion: already optimal when the known
-    # part is consistent, and a good neighborhood otherwise.
-    log_w = np.log(llsm(pcm).values)
-    t = np.array([log_w[i] - log_w[j] for i, j in missing])
+    ii, jj = np.array(
+        [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in known],
+        dtype=np.intp,
+    ).T
+    base, eye = pcm.as_array(missing=1.0), np.eye(n)
 
     def completed(tv):
         a = base.copy()
-        for s, (i, j) in enumerate(missing):
-            a[i, j] = math.exp(tv[s])
-            a[j, i] = math.exp(-tv[s])
+        a[ii, jj] = np.exp(tv)
+        a[jj, ii] = np.exp(-tv)
         return a
 
-    def lam_at(tv):
-        return _principal_eigenpair(completed(tv), eig_tol, max_iter)[0]
-
-    previous = lam_at(t)
-    for _ in range(max_iter):
-        for s in range(len(missing)):
-            def objective(ts, s=s):
-                trial = t.copy()
-                trial[s] = ts
-                return lam_at(trial)
-
-            t[s] = minimize_scalar(
-                objective, bracket=(t[s] - 1.0, t[s] + 1.0), options={"xtol": 1e-10}
-            ).x
-        current = lam_at(t)
-        if previous - current < completion_tol:
-            return completed(t)
-        previous = current
+    # Start from the least-squares completion: already optimal when the known
+    # part is consistent, and a good neighborhood otherwise.
+    log_w = np.log(llsm(pcm).values)
+    t = log_w[ii] - log_w[jj]
+    a = completed(t)
+    previous = math.inf
+    for step in range(1, max_iter + 1):
+        # Left and right Perron vectors u, w with u.w = 1.  With dA_s the
+        # derivative of A in t_s, d lambda / d t_s = u' dA_s w; row s of dw
+        # is dA_s w and row s of du is u' dA_s.  The second derivatives go
+        # through the reduced resolvent S of lambda I - A, taken from the
+        # inverse of lambda I - A + w u': that matrix stays regular where A
+        # has rank one (a consistent completion), while a full eigenbasis of
+        # A does not.
+        lam, w = _perron_pair(a)
+        current = math.log(lam)
+        u = _perron_pair(a.T)[1]
+        u /= u @ w
+        up, down = a[ii, jj], a[jj, ii]
+        upper, lower = u[ii] * up * w[jj], u[jj] * down * w[ii]
+        grad = (upper - lower) / lam
+        dw = eye[ii] * (up * w[jj])[:, None] - eye[jj] * (down * w[ii])[:, None]
+        du = eye[jj] * (u[ii] * up)[:, None] - eye[ii] * (u[jj] * down)[:, None]
+        projector = np.outer(w, u)
+        resolvent = np.linalg.inv(lam * eye - a + projector) - projector
+        mixed = du @ resolvent @ dw.T
+        hess = (np.diag(upper + lower) + mixed + mixed.T) / lam - np.outer(grad, grad)
+        direction = -np.linalg.solve(hess, grad)
+        # Take the full step where the descent it promises (half the Newton
+        # decrement) is below the rounding of f: there a line search compares
+        # noise.  Elsewhere halve until f does not increase.
+        size = float(np.max(np.abs(direction)))
+        flat = -0.5 * (grad @ direction) <= n * np.finfo(float).eps * max(1.0, abs(current))
+        scale = 1.0
+        for _ in range(0 if flat else 60):
+            if math.log(_perron_pair(completed(t + scale * direction))[0]) <= current:
+                break
+            scale *= 0.5
+        t = t + scale * direction
+        a = completed(t)
+        # Where f is flat to rounding, a full step that no longer shrinks is
+        # rounding noise in a direction f hardly sees: stop there as well.
+        if size < completion_tol or (flat and size >= previous):
+            return a, step
+        previous = size
     raise NoConvergence("eigenvalue-minimal completion did not converge", max_iter)
 
 
@@ -360,15 +382,27 @@ def em(
     """Principal-eigenvector weights of the matrix.
 
     A complete matrix is evaluated directly; a partial one is evaluated on
-    its eigenvalue-minimal completion.
+    its eigenvalue-minimal completion, found by damped Newton on
+    log lambda_max.  The completion stops when the full step's max norm is
+    below ``completion_tol``, or, once log lambda_max is flat to rounding,
+    when the full step stops shrinking; it raises :class:`NoConvergence`
+    after ``max_iter`` steps.  The eigenpair comes from the dense
+    eigendecomposition and must pass the residual test
+    ||A w - lambda w||_inf <= eig_tol * max(1, ||A w||_inf), or
+    :class:`NoConvergence` is raised.
     """
     if not pcm.representing_graph().is_connected():
         raise DisconnectedGraph("eigenvector method needs a connected graph")
     if pcm.n == 1:
         return EmResult(WeightVector(np.ones(1)), 1.0)
+    iterations = 0
     if pcm.is_complete:
         matrix = pcm.as_array()
     else:
-        matrix = _complete_lambda_min(pcm, eig_tol, completion_tol, max_iter)
-    lam, vec = _principal_eigenpair(matrix, eig_tol, max_iter)
-    return EmResult(WeightVector.normalized(vec), lam)
+        matrix, iterations = _complete_lambda_min(pcm, completion_tol, max_iter)
+    lam, vec = _perron_pair(matrix)
+    image = matrix @ vec
+    residual = float(np.max(np.abs(image - lam * vec)))
+    if not residual <= eig_tol * max(1.0, float(np.max(np.abs(image)))):
+        raise NoConvergence(f"Perron eigenpair residual {residual:.3g} above tolerance", iterations)
+    return EmResult(WeightVector.normalized(vec), lam, iterations)

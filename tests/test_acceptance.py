@@ -75,6 +75,22 @@ def permute_data(data: DataMatrix, perm) -> DataMatrix:
     return DataMatrix(data.n, entries)
 
 
+def relabeled_inputs():
+    """Fifty random connected data sets (seed 909, n = 3..6), each with a
+    random relabeling: (data, perm, relabeled data)."""
+    rng = np.random.default_rng(909)
+    for _ in range(50):
+        n = int(rng.integers(3, 7))
+        graph = random_connected_graph(rng, n)
+        entries = {
+            pair: (float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0)))
+            for pair in graph.sorted_edges()
+        }
+        data = DataMatrix(n, entries)
+        perm = rng.permutation(n)
+        yield data, perm, permute_data(data, perm)
+
+
 def test_golden_consistent_worked_example(sports_counts, sports_ratios):
     with criterion("golden consistent example: BT, LLSM and EM coincide"):
         started = time.perf_counter()
@@ -234,18 +250,7 @@ def test_invariance_suite(probs_modified):
             scaled = bt_mle(probs_modified.scaled(factor)).m.values
             assert np.max(np.abs(scaled - base)) < 1e-9
 
-        rng = np.random.default_rng(909)
-        for _ in range(50):
-            n = int(rng.integers(3, 7))
-            graph = random_connected_graph(rng, n)
-            entries = {
-                pair: (float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0)))
-                for pair in graph.sorted_edges()
-            }
-            data = DataMatrix(n, entries)
-            perm = rng.permutation(n)
-            permuted = permute_data(data, perm)
-
+        for data, perm, permuted in relabeled_inputs():
             m_base = bt_mle(data).m.values
             m_perm = bt_mle(permuted).m.values
             gaps_base = m_base[:, None] - m_base[None, :]
@@ -254,9 +259,8 @@ def test_invariance_suite(probs_modified):
 
             pcm, pcm_perm = pcm_from_data(data), pcm_from_data(permuted)
             assert np.max(np.abs(llsm(pcm).values - llsm(pcm_perm).values[perm])) < 1e-9
-            # The eigenvalue-minimal completion stops when a sweep lowers
-            # lambda by < 1e-12; lambda is quadratically flat at the optimum,
-            # so the completed entries (and weights) are pinned only to ~1e-6.
+            # The criterion's stated tolerance; test_em_relabeling_invariance_at_1e9
+            # pins the same inputs to 1e-9.
             assert (
                 np.max(np.abs(em(pcm).weights.values - em(pcm_perm).weights.values[perm]))
                 < 1e-6
@@ -270,6 +274,16 @@ def test_invariance_suite(probs_modified):
             assert value >= previous - 1e-12 * max(1.0, abs(previous))
             previous = value
             pi = mm_step(probs_modified, pi)
+
+
+def test_em_relabeling_invariance_at_1e9():
+    with criterion("invariance: EM weights under relabeling, to 1e-9"):
+        for data, perm, permuted in relabeled_inputs():
+            pcm, pcm_perm = pcm_from_data(data), pcm_from_data(permuted)
+            assert (
+                np.max(np.abs(em(pcm).weights.values - em(pcm_perm).weights.values[perm]))
+                < 1e-9
+            )
 
 
 def test_thurstone_robustness():

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paircomp
+from paircomp import IPCM
 from paircomp.cli import main
 from paircomp.fileio import emit_pcm, read_results
 from tests.conftest import GOLDEN_TOL
@@ -78,6 +84,30 @@ class TestRank:
             ["rank", "--input", pcm_file, "--format", "pcm", "--method", "em", "--json"],
         )
         assert payload["lambda_max"] > 4.0
+
+    def test_em_reports_newton_iterations(self, capsys, pcm_file, tmp_path, ratios_incomplete):
+        argv = ["rank", "--format", "pcm", "--method", "em", "--json", "--input"]
+        assert run_json(capsys, argv + [pcm_file])["iterations"] == 0
+        partial = tmp_path / "incomplete.pcm"
+        partial.write_text(emit_pcm(ratios_incomplete), encoding="utf-8")
+        assert run_json(capsys, argv + [str(partial)])["iterations"] >= 1
+
+    def test_em_json_is_the_same_under_python_O(self, capsys, tmp_path):
+        # The residual check and the invariants are code, not asserts, so an
+        # optimized interpreter computes the same report.
+        upper = {(0, 1): 2.0, (0, 3): 0.4, (1, 2): 3.5, (2, 4): 1.7, (3, 4): 0.9,
+                 (3, 5): 6.0, (4, 5): 2.2}
+        source = tmp_path / "partial6.pcm"
+        source.write_text(emit_pcm(IPCM.from_upper(6, upper)), encoding="utf-8")
+        argv = ["rank", "--input", str(source), "--format", "pcm", "--method", "em", "--json"]
+        env = dict(os.environ)
+        package_root = str(Path(paircomp.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        optimized = subprocess.run(
+            [sys.executable, "-O", "-m", "paircomp.cli", *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(optimized.stdout) == run_json(capsys, argv)
 
     def test_text_output_mentions_weights(self, capsys, pairs_file):
         assert main(["rank", "--input", pairs_file]) == 0

@@ -20,6 +20,7 @@ from paircomp import (
     WeightVector,
     bt_mle,
     em,
+    enumerate_connected,
     exact_probabilities,
     llsm,
     log_likelihood,
@@ -29,6 +30,7 @@ from paircomp import (
     pcm_from_data,
     weights_from_m,
 )
+from paircomp.estimators import DEFAULT_COMPLETION_TOL, DEFAULT_MAX_ITER, _complete_lambda_min
 from tests.conftest import GOLDEN_TOL, random_connected_graph, random_merits
 
 LOGISTIC = ModelKind.LOGISTIC
@@ -154,6 +156,112 @@ class TestEm:
             result = em(pcm)
             assert np.max(np.abs(result.weights.values - w.values)) < 1e-9
             assert result.lambda_max == pytest.approx(n, abs=1e-9)
+
+    def test_against_power_iteration(self):
+        # Independent oracle for complete matrices: plain power iteration,
+        # which shares no code with the LAPACK eigensolver em uses.
+        rng = np.random.default_rng(17)
+        for n in (3, 4, 5, 6) * 5:
+            upper = {
+                (i, j): math.exp(rng.normal()) for i in range(n) for j in range(i + 1, n)
+            }
+            pcm = IPCM.from_upper(n, upper)
+            result = em(pcm)
+            lam, vec = power_iteration(pcm.as_array())
+            assert result.lambda_max == pytest.approx(lam, abs=1e-9)
+            assert_allclose(result.weights.values, vec, atol=1e-9)
+            assert result.iterations == 0
+
+    def test_completion_is_the_lambda_minimum(self):
+        # Optimality oracle: at the completion, finite differences of the
+        # dense eigenvalues see a zero gradient, and no nearby completion
+        # (nor the least-squares one) has a smaller principal eigenvalue.
+        rng = np.random.default_rng(29)
+        for n in (4, 5, 6):
+            classes = incomplete_classes(n)
+            for cls in classes[:: max(1, len(classes) // 8)]:
+                weights = rng.integers(1, 10, size=n).astype(float)
+                upper = {
+                    (i, j): weights[i] / weights[j] * math.exp(rng.normal(0.0, 0.5))
+                    for i, j in cls.member().sorted_edges()
+                }
+                pcm = IPCM.from_upper(n, upper)
+                completed, _ = _complete_lambda_min(pcm, DEFAULT_COMPLETION_TOL, DEFAULT_MAX_ITER)
+                missing = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in upper]
+                t = np.array([math.log(completed[i, j]) for i, j in missing])
+
+                def lam_at(tv):
+                    a = completed.copy()
+                    for s, (i, j) in enumerate(missing):
+                        a[i, j], a[j, i] = math.exp(tv[s]), math.exp(-tv[s])
+                    return float(np.max(np.linalg.eigvals(a).real))
+
+                lam = lam_at(t)
+                # lambda up to its rounding, which a completion as good as
+                # the optimum (the least-squares one, on some structures) may
+                # undercut by an ulp.
+                ceiling = lam * (1.0 - 1e-13)
+                assert em(pcm).lambda_max == pytest.approx(lam, abs=1e-12)
+                h = 1e-5
+                unit = np.eye(len(t))
+                gradient = [(lam_at(t + h * e) - lam_at(t - h * e)) / (2 * h) for e in unit]
+                assert np.max(np.abs(gradient)) < 1e-6
+                directions = np.vstack([unit, rng.normal(size=(4, len(t)))])
+                for d in directions:
+                    step = 1e-3 * d / np.max(np.abs(d))
+                    assert ceiling <= lam_at(t + step)
+                    assert ceiling <= lam_at(t - step)
+                log_w = np.log(llsm(pcm).values)
+                assert ceiling <= lam_at(np.array([log_w[i] - log_w[j] for i, j in missing]))
+
+    def test_consistent_completion_on_every_structure(self):
+        # At a consistent completion the matrix has rank one: the Newton
+        # Hessian must not rely on a full eigenbasis.
+        rng = np.random.default_rng(41)
+        for n in (4, 5, 6):
+            for cls in incomplete_classes(n):
+                w = WeightVector.normalized(rng.uniform(0.2, 5.0, size=n))
+                result = em(IPCM.from_weight_ratios(w).restrict(cls.member()))
+                assert result.lambda_max == pytest.approx(n, abs=1e-9)
+                assert np.max(np.abs(result.weights.values - w.values)) < 1e-9
+
+    def test_completion_stops_at_the_rounding_floor(self):
+        # Ratios spanning 1e-6 .. 570 leave log lambda_max flat to rounding
+        # along one direction (Hessian eigenvalue ~1e-11), so the full Newton
+        # step bottoms out near 1e-9 instead of reaching completion_tol; the
+        # solver must stop there rather than wander until max_iter.
+        upper = {(0, 5): 0.74, (1, 4): 70.3, (1, 5): 0.064, (2, 3): 0.001, (2, 4): 569.4,
+                 (3, 4): 3.06e-6, (3, 5): 2.1e-4, (4, 5): 0.274}
+        base = em(IPCM.from_upper(6, upper), max_iter=100)
+        assert base.iterations <= 10
+        perm = [2, 0, 1, 5, 3, 4]
+        relabeled = {}
+        for (i, j), a in upper.items():
+            p, q = perm[i], perm[j]
+            relabeled[(min(p, q), max(p, q))] = a if p < q else 1.0 / a
+        result = em(IPCM.from_upper(6, relabeled), max_iter=100)
+        assert result.lambda_max == pytest.approx(base.lambda_max, rel=1e-12)
+        assert_allclose(result.weights.values[perm], base.weights.values, atol=1e-9)
+
+
+def power_iteration(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000):
+    """Perron eigenpair by power iteration from the all-ones vector, the
+    eigenvector normalized to sum 1; the residual test is relative to the
+    iterate's magnitude."""
+    n = matrix.shape[0]
+    x = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        y = matrix @ x
+        lam = float(x @ y / (x @ x))
+        x = y / y.sum()
+        z = matrix @ x
+        if np.max(np.abs(z - lam * x)) <= tol * max(1.0, float(np.max(np.abs(z)))):
+            return lam, x
+    raise AssertionError("power iteration did not reach its residual tolerance")
+
+
+def incomplete_classes(n: int):
+    return [c for c in enumerate_connected(n) if c.edge_count < n * (n - 1) // 2]
 
 
 class TestBtMle:
