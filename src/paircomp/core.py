@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -110,18 +109,24 @@ class ComparisonGraph:
         return tuple(deg)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return len(_breadth_first(self.adjacency())) == self.n
+
+
+def _breadth_first(adj, source: int = 0) -> dict[int, int]:
+    """Breadth-first search over neighbor lists ``adj`` (indexed by vertex).
+
+    Maps each vertex reached from ``source`` to its parent, the source to -1.
+    Keys are in visiting order, and neighbors are taken in list order, so
+    sorted lists give the lowest-index-first tree.
+    """
+    parent = {source: -1}
+    order = [source]
+    for v in order:  # the list grows while it is walked: it is the queue
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -371,28 +376,6 @@ def pcm_from_data(data: DataMatrix) -> IPCM:
     return IPCM.from_upper(data.n, upper)
 
 
-def _bfs_tree(graph: ComparisonGraph) -> tuple[list[int], dict[int, int]]:
-    """Breadth-first spanning tree from vertex 0, visiting lowest-index
-    neighbors first.  Returns (visit order, parent map); raises if the graph
-    is not connected."""
-    adj = graph.adjacency()
-    parent: dict[int, int] = {0: -1}
-    order = [0]
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
-    if len(order) != graph.n:
-        raise DisconnectedGraph(
-            f"comparison graph is not connected ({len(order)} of {graph.n} vertices reachable)"
-        )
-    return order, parent
-
-
 def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
     """Rotate/reflect a cycle's vertex sequence into a deterministic form:
     smallest vertex first, then the smaller of its two neighbors."""
@@ -406,14 +389,20 @@ def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
 def _cycle_check(
     graph: ComparisonGraph, log_ratio: Mapping[tuple[int, int], float], tol: float
 ) -> ConsistencyReport:
-    """Check that every fundamental cycle of a BFS spanning tree has zero sum
-    of log ratios (within tol).  Any cycle's sum is a signed combination of
-    fundamental-cycle sums, so fundamental cycles suffice.
+    """Check that every fundamental cycle of the breadth-first spanning tree
+    from vertex 0 (lowest-index neighbors first) has zero sum of log ratios
+    (within tol); raises if the graph is not connected.  Any cycle's sum is a
+    signed combination of fundamental-cycle sums, so fundamental cycles
+    suffice.
 
     ``log_ratio[(i, j)]`` (i < j) is ln of the ratio oriented from i to j; the
     reverse orientation contributes the negative.
     """
-    order, parent = _bfs_tree(graph)
+    parent = _breadth_first(graph.adjacency())
+    if len(parent) != graph.n:
+        raise DisconnectedGraph(
+            f"comparison graph is not connected ({len(parent)} of {graph.n} vertices reachable)"
+        )
 
     def oriented(u: int, v: int) -> float:
         return log_ratio[(u, v)] if u < v else -log_ratio[(v, u)]
@@ -422,8 +411,7 @@ def _cycle_check(
     # consistent graph has oriented(u, v) == y[u] - y[v] on every edge.
     y = {0: 0.0}
     tree_edges = set()
-    for v in order[1:]:
-        p = parent[v]
+    for v, p in list(parent.items())[1:]:
         y[v] = y[p] - oriented(p, v)
         tree_edges.add((min(p, v), max(p, v)))
 
@@ -481,8 +469,6 @@ def ford_condition(data: DataMatrix) -> bool:
     of the Bradley-Terry maximum likelihood estimate.
     """
     n = data.n
-    if n == 1:
-        return True
     out: list[list[int]] = [[] for _ in range(n)]
     into: list[list[int]] = [[] for _ in range(n)]
     for (i, j), (d1, d2) in data.entries.items():
@@ -492,16 +478,4 @@ def ford_condition(data: DataMatrix) -> bool:
         if d1 > 0:  # j better than i
             out[j].append(i)
             into[i].append(j)
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == n
-
-    return reaches_all(out) and reaches_all(into)
+    return len(_breadth_first(out)) == n and len(_breadth_first(into)) == n

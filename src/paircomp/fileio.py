@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -30,19 +30,6 @@ from .graphs import GraphClass, properties
 from .simulation import MEASURE_NAMES, SimulationSummary
 
 PAIRS_HEADER = ("i", "j", "worse", "better")
-RESULTS_HEADER = (
-    "n",
-    "perturb",
-    "model",
-    "graph_id",
-    "edges",
-    "canonical_code",
-    "measure",
-    "mean",
-    "stddev",
-    "num_sims",
-    "excluded",
-)
 
 #: Reciprocity tolerance applied when loading ratio matrices from files.
 FILE_RECIPROCITY_TOL = 1e-9
@@ -93,6 +80,8 @@ def parse_pairs(source: str | Path | TextIO, n: int | None = None) -> DataMatrix
         better = _parse_float(row[3], where)
         if worse < 0 or better < 0:
             raise NegativeCount(f"{where}: comparison amounts must be nonnegative")
+        if math.isinf(worse) or math.isinf(better):
+            raise ParseError(f"{where}: comparison amounts must be finite")
         pair = (i - 1, j - 1)
         if pair in entries:
             raise DuplicatePair(f"{where}: pair ({i}, {j}) appears twice")
@@ -209,6 +198,14 @@ class ResultRow:
         )
 
 
+RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
+
+
+def _result_cells(row: ResultRow) -> dict:
+    """A row's cells by column, as written to the CSV and JSON tables."""
+    return {**vars(row), "graph_id": f"g{row.graph_id}"}
+
+
 def results_rows(summary: SimulationSummary) -> list[ResultRow]:
     config = summary.config
     rows = []
@@ -236,11 +233,8 @@ def results_rows(summary: SimulationSummary) -> list[ResultRow]:
 def write_results(summary: SimulationSummary, out: TextIO) -> None:
     out.write(",".join(RESULTS_HEADER) + "\n")
     for row in results_rows(summary):
-        out.write(
-            f"{row.n},{_fmt(row.perturb)},{row.model},g{row.graph_id},{row.edges},"
-            f"{row.canonical_code},{row.measure},{_fmt(row.mean)},{_fmt(row.stddev)},"
-            f"{row.num_sims},{row.excluded}\n"
-        )
+        cells = _result_cells(row).values()
+        out.write(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in cells) + "\n")
 
 
 def read_results(source: str | Path | TextIO) -> list[ResultRow]:
@@ -255,6 +249,12 @@ def read_results(source: str | Path | TextIO) -> list[ResultRow]:
         except ValueError:
             raise ParseError(f"{where}: cannot parse {cell.strip()!r} as a number") from None
 
+    def integer(cell: str, where: str) -> int:
+        try:
+            return int(cell)
+        except ValueError:
+            raise ParseError(f"{where}: cannot parse {cell.strip()!r} as an integer") from None
+
     parsed = []
     for number, row in enumerate(rows[1:], start=2):
         where = f"row {number}"
@@ -268,39 +268,24 @@ def read_results(source: str | Path | TextIO) -> list[ResultRow]:
             raise ParseError(f"{where}: unknown measure {measure!r}")
         parsed.append(
             ResultRow(
-                n=int(row[0]),
+                n=integer(row[0], where),
                 perturb=_parse_float(row[1], where),
                 model=row[2].strip(),
                 graph_id=int(label[1:]),
-                edges=int(row[4]),
+                edges=integer(row[4], where),
                 canonical_code=row[5].strip(),
                 measure=measure,
                 mean=stat(row[7], where),
                 stddev=stat(row[8], where),
-                num_sims=int(row[9]),
-                excluded=int(row[10]),
+                num_sims=integer(row[9], where),
+                excluded=integer(row[10], where),
             )
         )
     return parsed
 
 
 def results_json(summary: SimulationSummary) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "perturb": r.perturb,
-            "model": r.model,
-            "graph_id": f"g{r.graph_id}",
-            "edges": r.edges,
-            "canonical_code": r.canonical_code,
-            "measure": r.measure,
-            "mean": r.mean,
-            "stddev": r.stddev,
-            "num_sims": r.num_sims,
-            "excluded": r.excluded,
-        }
-        for r in results_rows(summary)
-    ]
+    payload = [_result_cells(row) for row in results_rows(summary)]
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -10,11 +10,10 @@ general canonical-labeling algorithm is used.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import ComparisonGraph
+from .core import ComparisonGraph, _breadth_first
 from .errors import DisconnectedGraph, TooLarge
 
 #: Largest vertex count accepted by the permutation-scan canonical code.
@@ -107,26 +106,6 @@ class GraphProperties:
     diameter: int
 
 
-def _connected_code(n: int, code: int) -> bool:
-    k = n * (n - 1) // 2
-    pairs = pair_order(n)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for s in range(k):
-        if code >> (k - 1 - s) & 1:
-            i, j = pairs[s]
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
-
-
 @functools.lru_cache(maxsize=MAX_CATALOG_N)
 def enumerate_connected(n: int) -> tuple[GraphClass, ...]:
     """All isomorphism classes of connected graphs on n vertices (2 <= n <= 6),
@@ -154,10 +133,17 @@ def enumerate_connected(n: int) -> tuple[GraphClass, ...]:
     visited = bytearray(1 << k)
     codes: list[int] = []
     for code in range(1, 1 << k):
-        if visited[code] or not _connected_code(n, code):
+        if visited[code]:
+            continue
+        bits = [s for s in range(k) if code >> (k - 1 - s) & 1]
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for s in bits:
+            i, j = pairs[s]
+            adj[i].append(j)
+            adj[j].append(i)
+        if len(_breadth_first(adj)) < n:
             continue
         codes.append(code)
-        bits = [s for s in range(k) if code >> (k - 1 - s) & 1]
         for pmap in perm_maps:
             image = 0
             for s in bits:
@@ -180,29 +166,18 @@ def properties(graph: ComparisonGraph) -> GraphProperties:
     deg = graph.degrees()
     adj = graph.adjacency()
 
-    color = {0: 0}
-    bipartite = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in color:
-                color[w] = color[v] ^ 1
-                queue.append(w)
-            elif color[w] == color[v]:
-                bipartite = False
-
-    diameter = 0
+    levels = []
     for source in range(n):
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        diameter = max(diameter, max(dist.values()))
+        level = {-1: -1}  # the source's parent, so the source gets level 0
+        for v, p in _breadth_first(adj, source).items():
+            level[v] = level[p] + 1
+        levels.append(level)
+    # Breadth-first levels differ by at most one along an edge, so an edge
+    # joins two vertices of equal level parity only within one level.  Level
+    # parity from vertex 0 is therefore a proper 2-coloring unless some edge
+    # lies within a level, and such an edge closes an odd cycle.
+    bipartite = all(levels[0][i] != levels[0][j] for i, j in graph.edges)
+    diameter = max(max(level.values()) for level in levels)
 
     is_tree = graph.edge_count == n - 1
     return GraphProperties(

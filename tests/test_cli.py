@@ -162,6 +162,12 @@ class TestConsistency:
         bad.write_text("nope\n", encoding="utf-8")
         assert main(["consistency", "--input", str(bad)]) == 1
 
+    def test_infinite_amount_exits_one(self, capsys, tmp_path):
+        bad = tmp_path / "inf.csv"
+        bad.write_text("i,j,worse,better\n1,2,1,inf\n", encoding="utf-8")
+        assert main(["consistency", "--input", str(bad)]) == 1
+        assert "row 2: " in capsys.readouterr().err
+
     def test_pcm_format(self, capsys, tmp_path, sports_ratios):
         source = tmp_path / "sports.pcm"
         source.write_text(emit_pcm(sports_ratios), encoding="utf-8")

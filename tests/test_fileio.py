@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from paircomp import (
     NonPositiveEntry,
     NotReciprocal,
     ParseError,
+    ModelKind,
     SimulationConfig,
     enumerate_connected,
     ford_condition,
@@ -31,9 +33,11 @@ from paircomp.fileio import (
     parse_pairs,
     parse_pcm,
     read_results,
+    results_json,
     results_rows,
     write_results,
 )
+from paircomp.simulation import MEASURE_NAMES, MeasureStats, SimulationSummary
 from tests.conftest import SPORTS_COUNTS
 
 SPORTS_FILE = """i,j,worse,better
@@ -78,6 +82,12 @@ class TestParsePairs:
     def test_negative_count(self):
         with pytest.raises(NegativeCount):
             parse_pairs(io.StringIO("i,j,worse,better\n1,2,-1,1\n"))
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+    def test_infinite_amount_names_the_file_row(self, cell):
+        text = f"i,j,worse,better\n1,2,1,1\n2,3,1,{cell}\n"
+        with pytest.raises(ParseError, match="^row 3: "):
+            parse_pairs(io.StringIO(text))
 
     def test_bad_indices(self):
         with pytest.raises(ParseError):
@@ -188,6 +198,80 @@ class TestResultsTable:
     def test_header_is_validated(self):
         with pytest.raises(BadHeader):
             read_results(io.StringIO("a,b\n1,2\n"))
+
+    @pytest.mark.parametrize("column", ["n", "edges", "num_sims", "excluded"])
+    def test_malformed_integer_cell_names_the_row(self, summary, column):
+        buffer = io.StringIO()
+        write_results(summary, buffer)
+        lines = buffer.getvalue().splitlines()
+        header = lines[0].split(",")
+        cells = lines[2].split(",")
+        cells[header.index(column)] = "4.5x"
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError, match="^row 3: "):
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+
+
+def _fixed_summary() -> SimulationSummary:
+    """One n = 3 class with hand-set statistics, one cell fully excluded."""
+    cls = enumerate_connected(3)[1]
+    stats = {
+        (cls.id, measure): MeasureStats(mean=1 / (k + 3), stddev=0.1 * k, count=4 - k % 2)
+        for k, measure in enumerate(MEASURE_NAMES)
+    }
+    stats[(cls.id, "pe_m")] = MeasureStats(mean=math.nan, stddev=math.nan, count=0)
+    config = SimulationConfig(n=3, perturb=0.15, num_sims=4, seed=1, model=ModelKind.NORMAL)
+    return SimulationSummary(config, (cls,), stats)
+
+
+FIXED_CSV = """n,perturb,model,graph_id,edges,canonical_code,measure,mean,stddev,num_sims,excluded
+3,0.14999999999999999,normal,g2,3,7,eu_m,0.33333333333333331,0,4,0
+3,0.14999999999999999,normal,g2,3,7,eu_w,0.25,0.10000000000000001,4,1
+3,0.14999999999999999,normal,g2,3,7,pe_m,nan,nan,4,4
+3,0.14999999999999999,normal,g2,3,7,pe_w,0.16666666666666666,0.30000000000000004,4,1
+3,0.14999999999999999,normal,g2,3,7,rho,0.14285714285714285,0.40000000000000002,4,0
+3,0.14999999999999999,normal,g2,3,7,tau,0.125,0.5,4,1
+"""
+
+FIXED_JSON_ROW = """  {
+    "n": 3,
+    "perturb": 0.15,
+    "model": "normal",
+    "graph_id": "g2",
+    "edges": 3,
+    "canonical_code": "7",
+    "measure": "%s",
+    "mean": %s,
+    "stddev": %s,
+    "num_sims": 4,
+    "excluded": %s
+  }"""
+
+FIXED_JSON = (
+    "[\n"
+    + ",\n".join(
+        FIXED_JSON_ROW % cells
+        for cells in [
+            ("eu_m", "0.3333333333333333", "0.0", "0"),
+            ("eu_w", "0.25", "0.1", "1"),
+            ("pe_m", "NaN", "NaN", "4"),
+            ("pe_w", "0.16666666666666666", "0.30000000000000004", "1"),
+            ("rho", "0.14285714285714285", "0.4", "0"),
+            ("tau", "0.125", "0.5", "1"),
+        ]
+    )
+    + "\n]\n"
+)
+
+
+class TestResultsBytes:
+    def test_csv_bytes_are_pinned(self):
+        buffer = io.StringIO()
+        write_results(_fixed_summary(), buffer)
+        assert buffer.getvalue() == FIXED_CSV
+
+    def test_json_bytes_are_pinned(self):
+        assert results_json(_fixed_summary()) == FIXED_JSON
 
 
 class TestGraphsJson:
