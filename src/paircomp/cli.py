@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import fileio, report
 from .core import (
@@ -29,13 +29,12 @@ from .errors import (
 )
 from .estimators import bt_mle, em, llsm, weights_from_m
 from .graphs import enumerate_connected
-from .simulation import SimulationConfig, run
+from .simulation import SimulationConfig, _pair_signs, run
 
 
 def _ranks_descending(weights: np.ndarray) -> np.ndarray:
     """Rank 1 = largest weight; ties share the average rank."""
-    ascending = rankdata(weights, method="average")
-    return len(weights) + 1.0 - ascending
+    return 0.5 * (len(weights) + 1 - _pair_signs(weights).sum(axis=-1))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -212,6 +211,7 @@ class CliUsage(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paircomp",

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -261,7 +262,7 @@ def read_results(source: str | Path | TextIO) -> list[ResultRow]:
         if len(row) != len(RESULTS_HEADER):
             raise ParseError(f"{where}: expected {len(RESULTS_HEADER)} fields")
         label = row[3].strip()
-        if not label.startswith("g") or not label[1:].isdigit():
+        if not re.fullmatch("g[0-9]+", label):
             raise ParseError(f"{where}: graph_id must look like g12, got {label!r}")
         measure = row[6].strip()
         if measure not in MEASURE_NAMES:

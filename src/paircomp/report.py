@@ -7,14 +7,13 @@ command line's job.  Builders are pure functions of the result rows.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 
 from .errors import MissingSlice
 from .fileio import ResultRow
 from .graphs import properties
 from .simulation import HIGHER_IS_BETTER, MEASURE_NAMES
-
-FIGURES = ("averages-by-edges", "best-by-edges", "spanning-trees", "perturb-sweep")
 
 
 def _context(rows: list[ResultRow]) -> tuple[int, str]:
@@ -113,7 +112,7 @@ def perturb_sweep(rows: list[ResultRow], graph_label: str | None = None):
         graph_id = stars[0]
     else:
         label = graph_label.strip()
-        if not label.startswith("g") or not label[1:].isdigit():
+        if not re.fullmatch("g[0-9]+", label):
             raise ValueError(f"graph label must look like g12, got {graph_label!r}")
         graph_id = int(label[1:])
     mine = [r for r in rows if r.graph_id == graph_id]
@@ -127,13 +126,17 @@ def perturb_sweep(rows: list[ResultRow], graph_label: str | None = None):
     return header, table
 
 
+#: Figure name -> builder of its table from the rows and an optional structure label.
+_BUILDERS = {
+    "averages-by-edges": lambda rows, _: averages_by_edges(rows),
+    "best-by-edges": lambda rows, _: best_by_edges(rows),
+    "spanning-trees": lambda rows, _: spanning_trees(rows),
+    "perturb-sweep": perturb_sweep,
+}
+FIGURES = tuple(_BUILDERS)
+
+
 def build_figure(figure: str, rows: list[ResultRow], graph_label: str | None = None):
-    if figure == "averages-by-edges":
-        return averages_by_edges(rows)
-    if figure == "best-by-edges":
-        return best_by_edges(rows)
-    if figure == "spanning-trees":
-        return spanning_trees(rows)
-    if figure == "perturb-sweep":
-        return perturb_sweep(rows, graph_label)
-    raise ValueError(f"unknown figure {figure!r}")
+    if figure not in _BUILDERS:
+        raise ValueError(f"unknown figure {figure!r}")
+    return _BUILDERS[figure](rows, graph_label)

@@ -7,6 +7,9 @@ noise, evaluates the perturbed data by maximum likelihood — once complete,
 then restricted to every connected comparison structure — and scores each
 structure against the complete evaluation with six similarity measures.
 
+All structures of a chunk are fitted in one batch, one row per (replication,
+structure), and scored by one broadcasting call.
+
 Replication r draws from an independent substream derived from (seed, r), and
 rows of the batch solver are frozen individually on convergence, so results
 are bitwise identical no matter how replications are chunked across workers.
@@ -23,7 +26,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .core import (
     ComparisonGraph,
@@ -51,6 +53,9 @@ HIGHER_IS_BETTER = {
 
 #: Worker-count environment override.
 THREADS_ENV = "PAIRCOMP_THREADS"
+
+#: Most (replication, structure) rows fitted in one batch; bounds a chunk's memory.
+BATCH_ROWS = 2**13
 
 
 @dataclass(frozen=True)
@@ -163,46 +168,45 @@ def perturb_data(
 
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    sxy = np.sum(xc * yc, axis=1)
-    sx = np.sum(xc * xc, axis=1)
-    sy = np.sum(yc * yc, axis=1)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    yc = y - y.mean(axis=-1, keepdims=True)
+    sxy = np.sum(xc * yc, axis=-1)
+    sx = np.sum(xc * xc, axis=-1)
+    sy = np.sum(yc * yc, axis=-1)
     product = sx * sy
     with np.errstate(invalid="ignore", divide="ignore"):
         r = sxy / np.sqrt(product)
     return np.where(product > 0.0, r, np.nan)
 
 
+def _pair_signs(x: np.ndarray) -> np.ndarray:
+    """sign(x_i - x_j) over the last axis, shape (..., n, n).  Its row sums
+    give average ranks: x_i ranks (n + 1)/2 + sum_j sign(x_i - x_j)/2."""
+    return np.sign(x[..., :, None] - x[..., None, :])
+
+
 def _measure_rows(
     m_full: np.ndarray, w_full: np.ndarray, m_part: np.ndarray, w_part: np.ndarray
 ) -> np.ndarray:
-    """All six measures for row-aligned batches; returns shape (rows, 6).
+    """All six measures over the last axis, broadcasting the leading axes;
+    returns shape (..., 6).
 
     Rank correlations are computed from the expected-value vectors; the
     weight transform is strictly monotone, so weight ranks are identical.
     """
-    n = m_full.shape[1]
-    out = np.empty((m_full.shape[0], len(MEASURE_NAMES)))
-    out[:, 0] = np.sqrt(np.sum((m_full - m_part) ** 2, axis=1))
-    out[:, 1] = np.sqrt(np.sum((w_full - w_part) ** 2, axis=1))
-    out[:, 2] = _pearson_rows(m_full, m_part)
-    out[:, 3] = _pearson_rows(w_full, w_part)
-
-    # Spearman: 1 - 6 sum(d^2) / (n (n^2 - 1)), average ranks on ties.
-    rank_full = rankdata(m_full, axis=1, method="average")
-    rank_part = rankdata(m_part, axis=1, method="average")
-    squared = np.sum((rank_full - rank_part) ** 2, axis=1)
-    out[:, 4] = 1.0 - 6.0 * squared / (n * (n * n - 1))
-
-    # Kendall: mean of sign agreements over pairs, sign(0) = 0 on ties.
-    total = n * (n - 1) // 2
-    acc = np.zeros(m_full.shape[0])
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc += np.sign(m_full[:, i] - m_full[:, j]) * np.sign(m_part[:, i] - m_part[:, j])
-    out[:, 5] = acc / total
-    return out
+    n = m_full.shape[-1]
+    s_full, s_part = _pair_signs(m_full), _pair_signs(m_part)
+    # Spearman from average ranks; Kendall from sign agreement, ties scoring 0.
+    rank_gap = 0.5 * (s_full.sum(axis=-1) - s_part.sum(axis=-1))
+    columns = (
+        np.sqrt(np.sum((m_full - m_part) ** 2, axis=-1)),
+        np.sqrt(np.sum((w_full - w_part) ** 2, axis=-1)),
+        _pearson_rows(m_full, m_part),
+        _pearson_rows(w_full, w_part),
+        1.0 - 6.0 * np.sum(rank_gap**2, axis=-1) / (n * (n * n - 1)),
+        np.sum(s_full * s_part, axis=(-2, -1)) / (n * (n - 1)),
+    )
+    return np.stack(columns, axis=-1)
 
 
 def similarity(
@@ -215,12 +219,7 @@ def similarity(
     n = len(m_full)
     if not (len(w_full) == len(m_part) == len(w_part) == n):
         raise ValueError("all four vectors must have the same length")
-    row = _measure_rows(
-        m_full.values[None, :],
-        w_full.values[None, :],
-        m_part.values[None, :],
-        w_part.values[None, :],
-    )[0]
+    row = _measure_rows(m_full.values, w_full.values, m_part.values, w_part.values)
     return MeasureSet(*map(float, row))
 
 
@@ -241,8 +240,8 @@ def error_bound(num_sims: int, alpha: float, sigma: float) -> float:
 
 
 def _softmax_rows(m: np.ndarray) -> np.ndarray:
-    e = np.exp(m - np.max(m, axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(m - np.max(m, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
@@ -263,38 +262,34 @@ def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
 
 def _solve_chunk(config: SimulationConfig, start: int, stop: int):
     """Measures of shape (stop - start, classes, 6) plus failure records
-    (global replication index, graph id or None for the complete stage)."""
+    (global replication index, graph id or None for the complete stage).
+
+    Every (replication, structure) pair is one row of a single batch solve
+    over the complete pair list.  A structure's missing pairs carry
+    d1 = d2 = 0, so they add nothing to its likelihood, gradient or
+    Hessian; the complete class, the catalog's last, is the reference fit.
+    """
     n = config.n
     classes = enumerate_connected(n)
-    complete = ComparisonGraph.complete(n)
-    pairs = complete.sorted_edges()
-    column = {p: s for s, p in enumerate(pairs)}
-    ii = np.array([p[0] for p in pairs], dtype=np.intp)
-    jj = np.array([p[1] for p in pairs], dtype=np.intp)
+    pairs = ComparisonGraph.complete(n).sorted_edges()
+    ii, jj = np.array(pairs, dtype=np.intp).T
+    present = np.array([[p in cls.member().edges for p in pairs] for cls in classes])
 
-    d1 = _draw_rows(config, start, stop)
-    d2 = 1.0 - d1
-
-    failures: list[tuple[int, int | None]] = []
-    m_full, _, converged = _newton_rows(
-        d1, d2, ii, jj, n, config.model, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER
+    d1 = _draw_rows(config, start, stop)[:, None, :]
+    shape = (stop - start, len(classes))
+    m, _, converged = _newton_rows(
+        np.where(present, d1, 0.0).reshape(-1, len(pairs)),
+        np.where(present, 1.0 - d1, 0.0).reshape(-1, len(pairs)),
+        ii, jj, n, config.model, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER,
     )
-    failures.extend((start + r, None) for r in np.flatnonzero(~converged))
-    w_full = _softmax_rows(m_full)
+    m = m.reshape(*shape, n)
+    w = _softmax_rows(m)
+    measures = _measure_rows(m[:, -1:], w[:, -1:], m, w)
 
-    measures = np.empty((stop - start, len(classes), len(MEASURE_NAMES)))
-    for g, cls in enumerate(classes):
-        edges = cls.member().sorted_edges()
-        if len(edges) == len(pairs):
-            m_part, ok = m_full, converged
-        else:
-            cols = [column[p] for p in edges]
-            m_part, _, ok = _newton_rows(
-                d1[:, cols], d2[:, cols], ii[cols], jj[cols], n, config.model,
-                DEFAULT_MLE_TOL, DEFAULT_MAX_ITER,
-            )
-            failures.extend((start + r, cls.id) for r in np.flatnonzero(~ok))
-        measures[:, g, :] = _measure_rows(m_full, w_full, m_part, _softmax_rows(m_part))
+    # Complete-stage failures (graph id None) first, then each structure's.
+    failed = np.roll(~converged.reshape(shape).T, 1, axis=0)
+    ids = [None] + [cls.id for cls in classes[:-1]]
+    failures = [(start + r, ids[g]) for g, r in np.argwhere(failed)]
     return measures, failures
 
 
@@ -310,11 +305,11 @@ def worker_count() -> int:
     return count
 
 
-def _chunk_bounds(total: int, threads: int) -> list[tuple[int, int]]:
-    # Few large chunks: rows are solved in vectorized batches, so oversized
-    # chunk counts only add per-call overhead.  Results do not depend on the
-    # chunking (rows are frozen individually on convergence).
-    size = max(1, -(-total // max(threads * 4, 8)))
+def _chunk_bounds(total: int, threads: int, classes: int) -> list[tuple[int, int]]:
+    # Few large chunks, as rows are solved in vectorized batches, but at most
+    # BATCH_ROWS (replication, structure) rows each.  Results do not depend on
+    # the chunking (rows are frozen individually on convergence).
+    size = max(1, min(-(-total // max(threads * 4, 8)), BATCH_ROWS // classes))
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
@@ -332,7 +327,7 @@ def run(
     classes = enumerate_connected(config.n)
     total = config.num_sims
     threads = worker_count()
-    bounds = _chunk_bounds(total, threads)
+    bounds = _chunk_bounds(total, threads, len(classes))
 
     outputs = []
     if threads == 1 or len(bounds) == 1:

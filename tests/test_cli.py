@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 import paircomp
 from paircomp import IPCM
-from paircomp.cli import main
+from paircomp.cli import _ranks_descending, main
 from paircomp.fileio import emit_pcm, read_results
 from tests.conftest import GOLDEN_TOL
 
@@ -57,6 +59,13 @@ def run_json(capsys, argv):
 
 
 class TestRank:
+    def test_ranks_are_scipy_average_ranks_reversed(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            for weights in (rng.integers(1, 4, n) / 10.0, rng.dirichlet(np.ones(n))):
+                expected = n + 1.0 - rankdata(weights, method="average")
+                assert np.array_equal(_ranks_descending(weights), expected)
+
     def test_bt_on_pairs_matches_reference(self, capsys, pairs_file):
         payload = run_json(capsys, ["rank", "--input", pairs_file, "--method", "bt", "--json"])
         expected = [0.109, 0.140, 0.284, 0.466]

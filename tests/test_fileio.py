@@ -211,6 +211,19 @@ class TestResultsTable:
         with pytest.raises(ParseError, match="^row 3: "):
             read_results(io.StringIO("\n".join(lines) + "\n"))
 
+    @pytest.mark.parametrize("label", ["g\u00b2", "g\u0663", "g", "2", "g1x"])
+    def test_graph_label_needs_ascii_digits(self, summary, label):
+        # str.isdigit() accepts a superscript two, and int() reads an
+        # Arabic-Indic three as 3; neither is a label this program writes.
+        buffer = io.StringIO()
+        write_results(summary, buffer)
+        lines = buffer.getvalue().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = label
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError, match="^row 3: graph_id must look like g12"):
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+
 
 def _fixed_summary() -> SimulationSummary:
     """One n = 3 class with hand-set statistics, one cell fully excluded."""

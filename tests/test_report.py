@@ -80,6 +80,12 @@ def test_missing_slices(rows):
         spanning_trees(no_trees)
 
 
+@pytest.mark.parametrize("label", ["g\u00b2", "g\u0663", "6", "gg6"])
+def test_perturb_sweep_label_needs_ascii_digits(rows, label):
+    with pytest.raises(ValueError, match="must look like g12"):
+        perturb_sweep(rows, label)
+
+
 def test_mixed_runs_are_rejected(rows):
     doctored = list(rows)
     clone = rows[0].__class__(**{**rows[0].__dict__, "n": 5})

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import rankdata
+
+import paircomp
 
 from paircomp import (
     ComparisonGraph,
@@ -17,15 +24,24 @@ from paircomp import (
     WeightVector,
     bt_mle,
     draw_initial_weights,
+    enumerate_connected,
     error_bound,
     exact_probabilities,
+    m_from_weights,
     perturb_data,
     run,
     similarity,
     star_class,
+    weights_from_m,
 )
 from paircomp.estimators import _newton_rows, _pair_data
-from paircomp.simulation import MEASURE_NAMES, _chunk_bounds
+from paircomp.simulation import (
+    BATCH_ROWS,
+    MEASURE_NAMES,
+    _chunk_bounds,
+    _measure_rows,
+    _solve_chunk,
+)
 
 
 class ScriptedRng:
@@ -167,6 +183,46 @@ class TestSimilarity:
             similarity(mk, wk, mi, wi)
 
 
+def reference_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Spearman's rho of each row pair from scipy's average ranks."""
+    n = x.shape[1]
+    gap = rankdata(x, axis=1, method="average") - rankdata(y, axis=1, method="average")
+    return 1.0 - 6.0 * np.sum(gap**2, axis=1) / (n * (n * n - 1))
+
+
+def reference_kendall(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kendall's tau of each row pair by a loop over the pairs i < j."""
+    n = x.shape[1]
+    acc = np.zeros(x.shape[0])
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc += np.sign(x[:, i] - x[:, j]) * np.sign(y[:, i] - y[:, j])
+    return acc / (n * (n - 1) // 2)
+
+
+class TestRankMeasures:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_pairwise_signs_match_the_references(self, n):
+        rng = np.random.default_rng(700 + n)
+        # Digits 0..2 force ties, normal draws have none, and half of the
+        # second vectors are near copies of the first so correlations vary.
+        x = np.concatenate([rng.integers(0, 3, (60, n)), rng.normal(size=(60, n))]).astype(float)
+        y = np.concatenate([rng.integers(0, 3, (60, n)), rng.normal(size=(60, n))]).astype(float)
+        y[::2] = np.round(x[::2] + 0.6 * rng.normal(size=(60, n)))
+        out = _measure_rows(x, x, y, y)
+        assert np.array_equal(out[:, 4], reference_spearman(x, y))
+        assert np.array_equal(out[:, 5], reference_kendall(x, y))
+
+        # 3-D, as a chunk scores it: one reference row against many.
+        full, part = x[:12, None, :], y.reshape(12, 10, n)
+        out = _measure_rows(full, full, part, part)
+        assert out.shape == (12, 10, 6)
+        flat_full = np.broadcast_to(full, part.shape).reshape(-1, n)
+        flat_part = part.reshape(-1, n)
+        assert np.array_equal(out[..., 4].ravel(), reference_spearman(flat_full, flat_part))
+        assert np.array_equal(out[..., 5].ravel(), reference_kendall(flat_full, flat_part))
+
+
 class TestErrorBound:
     def test_reference_value(self):
         assert error_bound(10**6, 0.01, 1.0) == pytest.approx(0.00258, abs=1e-5)
@@ -216,9 +272,8 @@ class TestBatchSolver:
     def test_chunking_does_not_change_results(self):
         config = SimulationConfig(n=4, perturb=0.2, num_sims=12, seed=77)
         a = run(config)
-        bounds = _chunk_bounds(12, 1)
+        bounds = _chunk_bounds(12, 1, 6)
         assert bounds[0][1] - bounds[0][0] >= 2  # chunks really do batch rows
-        from paircomp.simulation import _solve_chunk
 
         whole, _ = _solve_chunk(config, 0, 12)
         split = np.concatenate(
@@ -228,6 +283,49 @@ class TestBatchSolver:
         b = run(config)
         for key, cell in a.stats.items():
             assert b.stats[key] == cell
+
+
+    @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
+    @pytest.mark.parametrize("n, sims", [(4, 12), (5, 5)])
+    def test_chunk_matches_per_structure_single_calls(self, n, sims, model):
+        # One batch over every (replication, structure) row against the
+        # public path: restrict -> bt_mle -> similarity per structure.
+        config = SimulationConfig(n=n, perturb=0.2, num_sims=sims, seed=41, model=model)
+        measures, failures = _solve_chunk(config, 0, sims)
+        assert failures == []
+        complete = ComparisonGraph.complete(n)
+        for r in range(sims):
+            rng = np.random.default_rng([config.seed, r])
+            m0 = m_from_weights(draw_initial_weights(rng, n))
+            data = perturb_data(exact_probabilities(m0, complete, model), 0.2, rng)
+            full = bt_mle(data, model)
+            w_full = weights_from_m(full.m)
+            for g, cls in enumerate(enumerate_connected(n)):
+                part = bt_mle(data.restrict(cls.member()), model)
+                single = similarity(full.m, w_full, part.m, weights_from_m(part.m))
+                assert_allclose(measures[r, g], single.as_tuple(), rtol=1e-12, atol=0.0)
+
+    def test_chunks_respect_the_batch_cap(self):
+        classes = len(enumerate_connected(6))
+        for threads in (1, 2, 16):
+            bounds = _chunk_bounds(10**6, threads, classes)
+            assert bounds[0][0] == 0 and bounds[-1][1] == 10**6
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert max(e - s for s, e in bounds) * classes <= BATCH_ROWS
+        # A small run keeps its few large chunks: 64 n = 4 replications on
+        # one worker are 8 chunks of 8.
+        assert _chunk_bounds(64, 1, 6) == [(s, s + 8) for s in range(0, 64, 8)]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    env = dict(os.environ)
+    package_root = str(Path(paircomp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = "import sys, paircomp.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestRun:
