@@ -7,12 +7,12 @@ noise, evaluates the perturbed data by maximum likelihood — once complete,
 then restricted to every connected comparison structure — and scores each
 structure against the complete evaluation with six similarity measures.
 
-All structures of a chunk are fitted in one batch, one row per (replication,
-structure), and scored by one broadcasting call.
-
-Replication r draws from an independent substream derived from (seed, r), and
-rows of the batch solver are frozen individually on convergence, so results
-are bitwise identical no matter how replications are chunked across workers.
+Replications are drawn, fitted and scored chunk by chunk in arrays, one batch
+row per (replication, structure).  Replication r still owns the substream
+(seed, r): n integers, a block of one uniform per pair, then scalar redraws in
+pair order after a rejected draw.  Rows of the batch solver are frozen
+individually on convergence, so results are bitwise identical however
+replications are chunked.
 """
 
 from __future__ import annotations
@@ -27,16 +27,9 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.special import ndtri
 
-from .core import (
-    ComparisonGraph,
-    DataMatrix,
-    ExpectedValueVector,
-    ModelKind,
-    WeightVector,
-    exact_probabilities,
-)
-from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows, m_from_weights
-from .graphs import GraphClass, enumerate_connected
+from .core import DataMatrix, ExpectedValueVector, ModelKind, WeightVector
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows
+from .graphs import GraphClass, enumerate_connected, pair_order
 
 #: Measure column names, in canonical order.
 MEASURE_NAMES = ("eu_m", "eu_w", "pe_m", "pe_w", "rho", "tau")
@@ -80,6 +73,9 @@ class SimulationConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must be in (0, 0.5)")
+        # The most extreme exact probability is F(ln 9), from weights 1 and 9.
+        if self.perturb > 0.0:
+            _check_reachable(self.model.cdf(math.log(9.0)), self.perturb, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,11 @@ class SimulationSummary:
         return self.stats[(graph_id, measure)].mean
 
 
+def _check_reachable(d1, level: float, epsilon: float) -> None:
+    if np.any((d1 - level >= 1.0 - epsilon) | (d1 + level <= epsilon)):
+        raise ValueError(f"perturbation {level} cannot reach ({epsilon}, 1 - {epsilon})")
+
+
 def draw_initial_weights(rng: np.random.Generator, n: int) -> WeightVector:
     """Random priority vector: n uniform integers from 1 to 9, normalized."""
     values = rng.integers(1, 10, size=n).astype(float)
@@ -139,26 +140,27 @@ def perturb_data(
     """Add an independent uniform draw from [-level, level] to each d1,
     redrawing until the result lies in (epsilon, 1 - epsilon), and set
     d2 = 1 - d1.  Redrawing keeps the offset distribution symmetric, which
-    clamping would not.  A level of 0 returns the input unchanged."""
+    clamping would not.  A level of 0 returns the input unchanged.  Raises
+    ValueError when d1 - level >= 1 - epsilon or d1 + level <= epsilon for
+    some pair, where redrawing would never end."""
     if not 0.0 <= level < 1.0:
         raise ValueError("perturbation level must be in [0, 1)")
     if not 0.0 < epsilon < 0.5:
         raise ValueError("epsilon must be in (0, 0.5)")
-    pair_count = data.n * (data.n - 1) // 2
-    if len(data.entries) != pair_count:
+    if len(data.entries) != data.n * (data.n - 1) // 2:
         raise ValueError("perturbation expects complete comparison data")
-    for d1, _ in data.entries.values():
-        if not 0.0 < d1 < 1.0:
-            raise ValueError("perturbation expects probabilities strictly inside (0, 1)")
+    pairs = data.sorted_pairs()
+    exact = np.array([data.entries[p][0] for p in pairs])
+    if not np.all((0.0 < exact) & (exact < 1.0)):
+        raise ValueError("perturbation expects probabilities strictly inside (0, 1)")
     if level == 0.0:
         return data
+    _check_reachable(exact, level, epsilon)
     entries = {}
-    for pair in data.sorted_pairs():
-        d1 = data.entries[pair][0]
-        while True:
+    for pair, d1 in zip(pairs, exact.tolist()):
+        candidate = d1 + rng.uniform(-level, level)
+        while not epsilon < candidate < 1.0 - epsilon:
             candidate = d1 + rng.uniform(-level, level)
-            if epsilon < candidate < 1.0 - epsilon:
-                break
         entries[pair] = (candidate, 1.0 - candidate)
     return DataMatrix(data.n, entries)
 
@@ -245,19 +247,38 @@ def _softmax_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
-    """Perturbed d1 values, one row per replication, columns in lexicographic
-    pair order.  Replication r uses the substream seeded by (seed, r)."""
-    complete = ComparisonGraph.complete(config.n)
-    pairs = complete.sorted_edges()
-    rows = np.empty((stop - start, len(pairs)))
-    for offset, r in enumerate(range(start, stop)):
-        rng = np.random.default_rng([config.seed, r])
-        weights = draw_initial_weights(rng, config.n)
-        m0 = m_from_weights(weights)
-        exact = exact_probabilities(m0, complete, config.model)
-        perturbed = perturb_data(exact, config.perturb, rng, config.epsilon)
-        rows[offset] = [perturbed.entries[p][0] for p in pairs]
-    return rows
+    """Perturbed d1 values, one row per replication, columns in pair order:
+    bitwise the scalar path of :func:`perturb_data` on substream (seed, r)."""
+    n, level, epsilon = config.n, config.perturb, config.epsilon
+    ii, jj = np.array(pair_order(n), dtype=np.intp).T
+    rngs = [np.random.default_rng([config.seed, r]) for r in range(start, stop)]
+    counts = np.array([rng.integers(1, 10, size=n) for rng in rngs], dtype=float)
+    logs = np.log(counts / counts.sum(axis=1, keepdims=True))
+    m = logs - logs[:, :1]
+    exact = config.model.cdf(m[:, jj] - m[:, ii])
+    if not level:
+        return exact
+    _check_reachable(exact, level, epsilon)  # F(ln 9) in the config can round low
+    d1 = exact + np.array([rng.uniform(-level, level, size=len(ii)) for rng in rngs])
+    # Replay a rejected row's stream up to its first rejected pair, then redraw.
+    rejected = (d1 <= epsilon) | (d1 >= 1.0 - epsilon)
+    for row in np.flatnonzero(rejected.any(axis=1)):
+        first = int(np.argmax(rejected[row]))
+        rng = np.random.default_rng([config.seed, start + row])
+        rng.integers(1, 10, size=n)
+        rng.uniform(-level, level, size=first)
+        for s in range(first, len(ii)):
+            value = exact[row, s] + rng.uniform(-level, level)
+            while not epsilon < value < 1.0 - epsilon:
+                value = exact[row, s] + rng.uniform(-level, level)
+            d1[row, s] = value
+    return d1
+
+
+def _structure_mask(n: int) -> np.ndarray:
+    """present[g, s]: bit k - 1 - s of class g's code, set iff g has pair s."""
+    codes = np.array([cls.canonical_code for cls in enumerate_connected(n)])
+    return (codes[:, None] >> np.arange(n * (n - 1) // 2)[::-1]) & 1 == 1
 
 
 def _solve_chunk(config: SimulationConfig, start: int, stop: int):
@@ -271,15 +292,14 @@ def _solve_chunk(config: SimulationConfig, start: int, stop: int):
     """
     n = config.n
     classes = enumerate_connected(n)
-    pairs = ComparisonGraph.complete(n).sorted_edges()
-    ii, jj = np.array(pairs, dtype=np.intp).T
-    present = np.array([[p in cls.member().edges for p in pairs] for cls in classes])
+    ii, jj = np.array(pair_order(n), dtype=np.intp).T
+    present = _structure_mask(n)
 
     d1 = _draw_rows(config, start, stop)[:, None, :]
     shape = (stop - start, len(classes))
     m, _, converged = _newton_rows(
-        np.where(present, d1, 0.0).reshape(-1, len(pairs)),
-        np.where(present, 1.0 - d1, 0.0).reshape(-1, len(pairs)),
+        np.where(present, d1, 0.0).reshape(-1, len(ii)),
+        np.where(present, 1.0 - d1, 0.0).reshape(-1, len(ii)),
         ii, jj, n, config.model, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER,
     )
     m = m.reshape(*shape, n)

@@ -4,7 +4,7 @@ Each test prints an ``ACCEPTANCE PASS/FAIL: <criterion>`` line (visible with
 ``pytest tests/test_acceptance.py -s``) and pins the tolerance at which the
 criterion is stated.  Reference-value checks use +/-0.001, the precision at
 which those values are printed; property suites use the tolerances given
-inline.  The two experiment-backed criteria run N = 10^4 replications at a
+inline.  The experiment-backed criteria run N = 10^4 replications at a
 fixed seed, a desk-scale stand-in for the published 10^6-replication runs.
 """
 
@@ -65,6 +65,24 @@ def experiment_n4():
 @pytest.fixture(scope="module")
 def experiment_n5():
     return run(SimulationConfig(n=5, perturb=0.15, num_sims=10_000, seed=EXPERIMENT_SEED))
+
+
+@pytest.fixture(scope="module")
+def experiment_n4_normal():
+    return run(
+        SimulationConfig(
+            n=4, perturb=0.15, num_sims=10_000, seed=EXPERIMENT_SEED, model=ModelKind.NORMAL
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def experiment_n5_normal():
+    return run(
+        SimulationConfig(
+            n=5, perturb=0.15, num_sims=10_000, seed=EXPERIMENT_SEED, model=ModelKind.NORMAL
+        )
+    )
 
 
 def permute_data(data: DataMatrix, perm) -> DataMatrix:
@@ -241,6 +259,30 @@ def test_monotone_information_gain(experiment_n5):
             best_tau.append(max(summary.mean(i, "tau") for i in ids))
         assert all(a > b for a, b in zip(best_distance, best_distance[1:]))
         assert all(a < b for a, b in zip(best_tau, best_tau[1:]))
+
+
+def _winner(summary, edges, measure):
+    ids = [c.id for c in summary.classes if c.edge_count == edges]
+    return _ranking(summary, ids, measure)[0]
+
+
+def test_same_structures_win_under_both_models(
+    experiment_n4, experiment_n4_normal, experiment_n5, experiment_n5_normal
+):
+    with criterion("one optimal structure per edge count under Bradley-Terry and "
+                   "Thurstone, for all six measures (n=4, n=5)"):
+        for logistic, normal in (
+            (experiment_n4[0], experiment_n4_normal),
+            (experiment_n5, experiment_n5_normal),
+        ):
+            n = logistic.config.n
+            for edges in range(n - 1, n * (n - 1) // 2 + 1):
+                winners = {
+                    _winner(summary, edges, measure)
+                    for summary in (logistic, normal)
+                    for measure in MEASURE_NAMES
+                }
+                assert len(winners) == 1, (n, edges, winners)
 
 
 def test_invariance_suite(probs_modified):

@@ -58,6 +58,19 @@ def run_json(capsys, argv):
     return json.loads(captured.out)
 
 
+def run_cli_subprocess(*args, threads=None, timeout=None):
+    """Run ``python [args]`` with the package importable, optionally with a
+    worker count, capturing text output."""
+    env = dict(os.environ)
+    package_root = str(Path(paircomp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["PAIRCOMP_THREADS"] = str(threads)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 class TestRank:
     def test_ranks_are_scipy_average_ranks_reversed(self):
         rng = np.random.default_rng(17)
@@ -109,13 +122,8 @@ class TestRank:
         source = tmp_path / "partial6.pcm"
         source.write_text(emit_pcm(IPCM.from_upper(6, upper)), encoding="utf-8")
         argv = ["rank", "--input", str(source), "--format", "pcm", "--method", "em", "--json"]
-        env = dict(os.environ)
-        package_root = str(Path(paircomp.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        optimized = subprocess.run(
-            [sys.executable, "-O", "-m", "paircomp.cli", *argv],
-            capture_output=True, text=True, env=env, check=True,
-        )
+        optimized = run_cli_subprocess("-O", "-m", "paircomp.cli", *argv)
+        optimized.check_returncode()
         assert json.loads(optimized.stdout) == run_json(capsys, argv)
 
     def test_text_output_mentions_weights(self, capsys, pairs_file):
@@ -277,6 +285,36 @@ class TestSimulateAndReport:
             ]
         )
         assert code == 1
+
+    def test_unreachable_epsilon_window_exits_one(self, tmp_path):
+        # No perturbed draw can land in (0.45, 0.55) from 0.9 at level 0.1; the
+        # run is refused up front instead of redrawing forever.
+        out = tmp_path / "never.csv"
+        result = run_cli_subprocess(
+            "-m", "paircomp.cli", "simulate", "--n", "4", "--perturb", "0.1",
+            "--epsilon", "0.45", "--sims", "5", "--seed", "1", "--out", str(out),
+            threads=1, timeout=60,
+        )
+        assert result.returncode == 1
+        assert "cannot reach" in result.stderr
+        assert not out.exists()
+
+    def test_results_are_the_same_under_python_O_and_two_workers(
+        self, monkeypatch, tmp_path
+    ):
+        # Perturb 0.6 rejects many block draws, so the scalar redraw path runs;
+        # it must not rely on asserts, nor on which worker draws a chunk.
+        argv = ["simulate", "--n", "5", "--perturb", "0.6", "--sims", "40", "--seed", "3"]
+        optimized = tmp_path / "optimized.csv"
+        result = run_cli_subprocess(
+            "-O", "-m", "paircomp.cli", *argv, "--out", str(optimized), threads=2,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        monkeypatch.setenv("PAIRCOMP_THREADS", "1")
+        plain = tmp_path / "plain.csv"
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert optimized.read_bytes() == plain.read_bytes()
 
     def test_json_results_mirror_the_csv(self, tmp_path, results_file):
         target = tmp_path / "results.json"

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +36,15 @@ from paircomp import (
     weights_from_m,
 )
 from paircomp.estimators import _newton_rows, _pair_data
+from paircomp.graphs import pair_order
 from paircomp.simulation import (
     BATCH_ROWS,
     MEASURE_NAMES,
     _chunk_bounds,
+    _draw_rows,
     _measure_rows,
     _solve_chunk,
+    _structure_mask,
 )
 
 
@@ -123,6 +127,83 @@ class TestPerturbData:
             perturb_data(DataMatrix(3, {(0, 1): (0.5, 0.5)}), 0.1, rng)
         with pytest.raises(ValueError):
             perturb_data(DataMatrix(2, {(0, 1): (2.0, 1.0)}), 0.1, rng)
+
+    @pytest.mark.parametrize("d1", [0.9, 0.1])
+    def test_unreachable_window_raises_instead_of_redrawing_forever(self, d1):
+        # 0.9 - 0.3 >= 1 - 0.4 and 0.1 + 0.3 <= 0.4: no draw can be accepted.
+        data = DataMatrix(2, {(0, 1): (d1, 1.0 - d1)})
+        with pytest.raises(ValueError, match="cannot reach"):
+            perturb_data(data, 0.3, np.random.default_rng(9), epsilon=0.4)
+        # The same window is reachable with a wider level, and level 0 is a no-op.
+        noisy = perturb_data(data, 0.31, np.random.default_rng(9), epsilon=0.4)
+        assert 0.4 < noisy.entries[(0, 1)][0] < 0.6
+        assert perturb_data(data, 0.0, np.random.default_rng(9), epsilon=0.4) is data
+
+
+def reference_draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
+    """The per-replication draw through the public scalar path, one row per
+    replication in lexicographic pair order: the bitwise oracle of _draw_rows."""
+    complete = ComparisonGraph.complete(config.n)
+    pairs = complete.sorted_edges()
+    rows = np.empty((stop - start, len(pairs)))
+    for offset, r in enumerate(range(start, stop)):
+        rng = np.random.default_rng([config.seed, r])
+        weights = draw_initial_weights(rng, config.n)
+        m0 = m_from_weights(weights)
+        exact = exact_probabilities(m0, complete, config.model)
+        perturbed = perturb_data(exact, config.perturb, rng, config.epsilon)
+        rows[offset] = [perturbed.entries[p][0] for p in pairs]
+    return rows
+
+
+class TestChunkDraw:
+    @pytest.mark.parametrize(
+        "n, model, level, bounds, epsilon",
+        [
+            (4, ModelKind.LOGISTIC, 0.15, (0, 40), 1e-6),
+            (4, ModelKind.NORMAL, 0.15, (0, 40), 1e-6),
+            (5, ModelKind.LOGISTIC, 0.6, (0, 40), 1e-6),
+            (5, ModelKind.NORMAL, 0.6, (0, 40), 1e-6),
+            (6, ModelKind.NORMAL, 0.15, (0, 24), 1e-6),
+            (4, ModelKind.NORMAL, 0.0, (0, 24), 1e-6),
+            (5, ModelKind.LOGISTIC, 0.0, (0, 24), 0.3),
+            (5, ModelKind.NORMAL, 0.15, (37, 60), 1e-6),
+            (4, ModelKind.LOGISTIC, 0.3, (0, 40), 0.2),
+        ],
+    )
+    def test_array_draw_matches_the_scalar_path_bitwise(self, n, model, level, bounds, epsilon):
+        config = SimulationConfig(
+            n=n, perturb=level, num_sims=100, seed=2024, model=model, epsilon=epsilon
+        )
+        assert np.array_equal(_draw_rows(config, *bounds), reference_draw_rows(config, *bounds))
+
+    def test_high_level_exercises_the_redraw_path(self):
+        # Without rejected block draws the bitwise check above would never
+        # reach the scalar redraws.
+        config = SimulationConfig(n=5, perturb=0.6, num_sims=40, seed=2024)
+        exact = reference_draw_rows(replace(config, perturb=0.0), 0, 40)
+        offsets = []
+        for r in range(40):
+            rng = np.random.default_rng([config.seed, r])
+            rng.integers(1, 10, size=5)
+            offsets.append(rng.uniform(-0.6, 0.6, size=10))
+        block = exact + np.array(offsets)
+        rejected = (block <= config.epsilon) | (block >= 1.0 - config.epsilon)
+        assert rejected.any(axis=1).sum() >= 10
+
+    def test_draw_refuses_a_window_missed_by_rounding(self):
+        # The config's F(ln 9) rounds to 0.8999999999999999, so level 0.1 with
+        # epsilon 0.2 passes it; a drawn 9:1 pair gives 0.9000000000000001,
+        # whose every candidate is >= 0.8, and must not be redrawn forever.
+        config = SimulationConfig(n=4, perturb=0.1, num_sims=300, seed=1, epsilon=0.2)
+        with pytest.raises(ValueError, match="cannot reach"):
+            _draw_rows(config, 0, 300)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_structure_mask_matches_the_member_graphs(self, n):
+        expected = [[p in cls.member().edges for p in pair_order(n)]
+                    for cls in enumerate_connected(n)]
+        assert np.array_equal(_structure_mask(n), np.array(expected))
 
 
 class TestSimilarity:
@@ -400,6 +481,22 @@ class TestRun:
             SimulationConfig(n=4, perturb=0.1, num_sims=1, seed=-1)
         with pytest.raises(ValueError):
             SimulationConfig(n=4, perturb=0.1, num_sims=1, seed=0, epsilon=0.7)
+
+    @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
+    def test_config_rejects_an_unreachable_epsilon_window(self, model):
+        # F(ln 9), from weights 9 and 1, is the most extreme exact probability:
+        # 0.9 (logistic) or 0.986 (normal).
+        with pytest.raises(ValueError, match="cannot reach"):
+            SimulationConfig(n=4, perturb=0.1, num_sims=5, seed=1, model=model, epsilon=0.45)
+        # With epsilon 0.4 the extreme must be able to fall below 0.6.
+        extreme = float(model.cdf(math.log(9.0)))
+        with pytest.raises(ValueError):
+            SimulationConfig(n=4, perturb=extreme - 0.65, num_sims=5, seed=1, model=model,
+                             epsilon=0.4)
+        SimulationConfig(n=4, perturb=extreme - 0.55, num_sims=5, seed=1, model=model,
+                         epsilon=0.4)
+        # Level 0 draws nothing, so any epsilon is accepted.
+        SimulationConfig(n=4, perturb=0.0, num_sims=5, seed=1, model=model, epsilon=0.45)
 
 
 def test_failed_replications_are_excluded_and_counted(monkeypatch):
