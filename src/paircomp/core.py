@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import expit, log_expit, log_ndtr, ndtr
+from scipy.special import expit, log_expit, log_ndtr, logit, ndtr, ndtri
 
 from .errors import DisconnectedGraph
 
@@ -47,6 +47,12 @@ class ModelKind(enum.Enum):
         if self is ModelKind.LOGISTIC:
             return log_expit(x)
         return log_ndtr(x)
+
+    def inverse_cdf(self, p):
+        """The quantile function F^-1 evaluated elementwise."""
+        if self is ModelKind.LOGISTIC:
+            return logit(p)
+        return ndtri(p)
 
 
 def _read_only(values) -> np.ndarray:

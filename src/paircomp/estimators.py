@@ -11,7 +11,11 @@ Solver choices: both likelihoods are concave and maximized by one batched
 damped Newton solver, whose Hessian is a graph Laplacian weighted by the
 curvature of ln F on each pair; it converges when the full Newton step is
 below the tolerance, which bounds the error because convergence is
-quadratic near the optimum.  The eigenvalue completion minimizes
+quadratic near the optimum.  It starts from the least-squares solution of
+F^-1(d2 / (d1 + d2)) = m_i - m_j, one unit-weight Laplacian solve: on
+consistent data every equation holds exactly, and the paper shows the
+least-squares and likelihood optima then coincide, so the start is the MLE;
+under noise it is close to it.  The eigenvalue completion minimizes
 log lambda_max, which is convex in the logs of the missing entries with a
 unique optimum on connected comparison graphs, by damped Newton with the
 exact Perron gradient and Hessian; eigenpairs come from the dense
@@ -176,17 +180,39 @@ def mm_step(data: DataMatrix, pi: np.ndarray) -> np.ndarray:
     return new / new[0]
 
 
+def _least_squares_start(d1, d2, ii, jj, n, model: ModelKind):
+    """Least-squares solution of F^-1(d2 / (d1 + d2)) = m_i - m_j over each
+    row's pairs with both amounts positive, in the m_1 = 0 gauge, shape
+    (rows, n).  A row with a one-sided pair (one amount zero) or a link
+    that is not finite keeps m = 0.
+    """
+    m = np.zeros((d1.shape[0], n))
+    both = (d1 > 0) & (d2 > 0)
+    # Pairs without two-sided data get share 1/2, whose link is exactly 0.
+    link = model.inverse_cdf(np.divide(d2, d1 + d2, out=np.full_like(d2, 0.5), where=both))
+    fitted = np.flatnonzero(~np.any(((d1 > 0) != (d2 > 0)) | ~np.isfinite(link), axis=1))
+    laplacian = _laplacian_rows(both[fitted].astype(float), ii, jj, n)
+    rhs = _incidence_sums(link[fitted], -link[fitted], ii, jj, n)
+    m[fitted, 1:] = np.linalg.solve(laplacian[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
+    return m
+
+
 def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     """Damped Newton ascent of the concave log-likelihood in the m_1 = 0
     gauge, one independent problem per row of (d1, d2).
 
-    The negative Hessian is the graph Laplacian weighted by the pair
-    curvatures.  A row stops, and is frozen, when its full Newton step is
-    below ``tol``; every row's trajectory is therefore identical to a run of
-    that row alone.  Returns (m rows, iterations per row, converged mask).
+    Each row starts from its least-squares fit of the linked data (see
+    :func:`_least_squares_start`).  The paper shows that this fit and the
+    likelihood optimum coincide on consistent data, complete or not, so
+    there the first step is below rounding; under noise the start is close
+    to the optimum.  The negative Hessian is the graph Laplacian weighted by
+    the pair curvatures.  A row stops, and is frozen, when its full Newton
+    step is below ``tol``; every row's trajectory is therefore identical to
+    a run of that row alone.  Returns (m rows, iterations per row, converged
+    mask).
     """
     rows = d1.shape[0]
-    m = np.zeros((rows, n))
+    m = _least_squares_start(d1, d2, ii, jj, n, model)
     current = _loglik_rows(m, ii, jj, d1, d2, model)
     iterations = np.zeros(rows, dtype=np.intp)
     active = np.arange(rows)

@@ -50,6 +50,10 @@ THREADS_ENV = "PAIRCOMP_THREADS"
 #: Most (replication, structure) rows fitted in one batch; bounds a chunk's memory.
 BATCH_ROWS = 2**13
 
+#: Least share of a pair's perturbation interval that must land inside the
+#: epsilon window; each pair then needs 1,000 redraws on average at worst.
+MIN_ACCEPTED_SHARE = 1e-3
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -124,8 +128,15 @@ class SimulationSummary:
 
 
 def _check_reachable(d1, level: float, epsilon: float) -> None:
-    if np.any((d1 - level >= 1.0 - epsilon) | (d1 + level <= epsilon)):
-        raise ValueError(f"perturbation {level} cannot reach ({epsilon}, 1 - {epsilon})")
+    # A draw from [d1 - level, d1 + level] is redrawn until it falls in
+    # (epsilon, 1 - epsilon); refuse windows that accept too few draws for
+    # that to end soon.
+    accepted = np.minimum(d1 + level, 1.0 - epsilon) - np.maximum(d1 - level, epsilon)
+    if np.any(accepted < MIN_ACCEPTED_SHARE * 2.0 * level):
+        raise ValueError(
+            f"perturbation {level} cannot reach ({epsilon}, 1 - {epsilon}) "
+            f"with at least {MIN_ACCEPTED_SHARE:g} of its draws"
+        )
 
 
 def draw_initial_weights(rng: np.random.Generator, n: int) -> WeightVector:
@@ -141,8 +152,9 @@ def perturb_data(
     redrawing until the result lies in (epsilon, 1 - epsilon), and set
     d2 = 1 - d1.  Redrawing keeps the offset distribution symmetric, which
     clamping would not.  A level of 0 returns the input unchanged.  Raises
-    ValueError when d1 - level >= 1 - epsilon or d1 + level <= epsilon for
-    some pair, where redrawing would never end."""
+    ValueError when less than MIN_ACCEPTED_SHARE of some pair's interval
+    [d1 - level, d1 + level] lies in the window: redrawing would then take
+    over 1,000 draws per pair on average, or never end."""
     if not 0.0 <= level < 1.0:
         raise ValueError("perturbation level must be in [0, 1)")
     if not 0.0 < epsilon < 0.5:
@@ -319,9 +331,12 @@ def worker_count() -> int:
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
         return os.cpu_count() or 1
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
     if count < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer")
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, not {raw!r}")
     return count
 
 

@@ -299,6 +299,19 @@ class TestSimulateAndReport:
         assert "cannot reach" in result.stderr
         assert not out.exists()
 
+    def test_sliver_epsilon_window_exits_one(self, tmp_path):
+        # From 0.9 at level 0.1, only (0.8, 0.80000000001) is inside the
+        # window: about 5e-11 of the draws, so redrawing would not end.
+        out = tmp_path / "never.csv"
+        result = run_cli_subprocess(
+            "-m", "paircomp.cli", "simulate", "--n", "4", "--perturb", "0.1",
+            "--epsilon", "0.19999999999", "--sims", "300", "--seed", "1", "--out", str(out),
+            threads=1, timeout=60,
+        )
+        assert result.returncode == 1
+        assert "cannot reach" in result.stderr
+        assert not out.exists()
+
     def test_results_are_the_same_under_python_O_and_two_workers(
         self, monkeypatch, tmp_path
     ):

@@ -30,11 +30,23 @@ from paircomp import (
     pcm_from_data,
     weights_from_m,
 )
-from paircomp.estimators import DEFAULT_COMPLETION_TOL, DEFAULT_MAX_ITER, _complete_lambda_min
+from paircomp.estimators import (
+    DEFAULT_COMPLETION_TOL,
+    DEFAULT_MAX_ITER,
+    DEFAULT_MLE_TOL,
+    _complete_lambda_min,
+    _least_squares_start,
+    _newton_rows,
+    _pair_data,
+)
 from tests.conftest import GOLDEN_TOL, random_connected_graph, random_merits
 
 LOGISTIC = ModelKind.LOGISTIC
 NORMAL = ModelKind.NORMAL
+
+# A league table in which item 0 won every game against item 1: the pair
+# (0, 1) is one-sided, yet the directed graph is strongly connected.
+LEAGUE = {(0, 1): (0.0, 3.0), (0, 2): (1.0, 2.0), (1, 2): (2.0, 1.0)}
 
 
 class TestLlsm:
@@ -309,6 +321,62 @@ class TestBtMle:
             pcm = pcm_from_data(data)
             assert np.max(np.abs(w_mle - llsm(pcm).values)) < 1e-6
             assert np.max(np.abs(w_mle - em(pcm).weights.values)) < 1e-6
+
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_consistent_data_is_solved_by_the_least_squares_start(self, model):
+        # The paper's theorem: on consistent data, complete or not, the
+        # least-squares fit of the linked data is the MLE, so the first Newton
+        # step is below the tolerance.
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            graph = random_connected_graph(rng, n)
+            m0 = random_merits(rng, n)
+            data = exact_probabilities(ExpectedValueVector(m0), graph, model)
+            result = bt_mle(data, model)
+            assert result.iterations == 1
+            assert np.max(np.abs(result.m.values - m0)) < 1e-12
+            if model is LOGISTIC:
+                w_llsm = llsm(pcm_from_data(data)).values
+                assert np.max(np.abs(weights_from_m(result.m).values - w_llsm)) < 1e-12
+
+    @pytest.mark.parametrize("entries", [LEAGUE, {**LEAGUE, (0, 1): (1e-20, 3.0)}])
+    def test_rows_without_a_finite_link_fall_back_to_the_zero_start(self, entries):
+        # A one-sided pair has no link, and the share 3 / (3 + 1e-20) rounds
+        # to 1, whose link is infinite.  The fit from m = 0 must still reach
+        # the minorize-maximize fixed point.
+        data = DataMatrix(3, entries)
+        ii, jj, d1, d2 = _pair_data(data)
+        assert not _least_squares_start(d1[None], d2[None], ii, jj, 3, LOGISTIC).any()
+        pi = np.ones(3)
+        for _ in range(10_000):
+            previous, pi = pi, mm_step(data, pi)
+            if np.array_equal(pi, previous):
+                break
+        assert np.max(np.abs(bt_mle(data).m.values - np.log(pi))) < 1e-9
+
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_batch_mixing_one_sided_rows_matches_single_calls(self, model):
+        rng = np.random.default_rng(67)
+        tables = []
+        for r in range(8):
+            entries = {pair: tuple(rng.uniform(0.1, 2.0, size=2)) for pair in LEAGUE}
+            if r % 2 == 0:
+                entries[(0, 1)] = (0.0, float(rng.uniform(0.1, 2.0)))
+            tables.append(DataMatrix(3, entries))
+        ii, jj, _, _ = _pair_data(tables[0])
+        d1 = np.array([_pair_data(t)[2] for t in tables])
+        d2 = np.array([_pair_data(t)[3] for t in tables])
+        start = _least_squares_start(d1, d2, ii, jj, 3, model)
+        assert not start[0::2].any() and start[1::2, 1:].all()
+        m, iterations, converged = _newton_rows(
+            d1, d2, ii, jj, 3, model, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER
+        )
+        assert converged.all()
+        for r, data in enumerate(tables):
+            single = bt_mle(data, model)
+            assert np.array_equal(m[r], single.m.values)
+            assert iterations[r] == single.iterations
 
     def test_scaling_invariance(self, probs_modified):
         base = bt_mle(probs_modified).m.values

@@ -45,6 +45,7 @@ from paircomp.simulation import (
     _measure_rows,
     _solve_chunk,
     _structure_mask,
+    worker_count,
 )
 
 
@@ -139,6 +140,16 @@ class TestPerturbData:
         assert 0.4 < noisy.entries[(0, 1)][0] < 0.6
         assert perturb_data(data, 0.0, np.random.default_rng(9), epsilon=0.4) is data
 
+    @pytest.mark.parametrize("d1", [0.9, 0.1])
+    def test_sliver_window_raises_instead_of_redrawing_for_ages(self, d1):
+        # Only a 1e-5 wide part of the 0.6 wide interval is inside the window.
+        data = DataMatrix(2, {(0, 1): (d1, 1.0 - d1)})
+        with pytest.raises(ValueError, match="cannot reach"):
+            perturb_data(data, 0.3, np.random.default_rng(9), epsilon=0.39999)
+        # Half the interval is inside a window of 0.25.
+        noisy = perturb_data(data, 0.3, np.random.default_rng(9), epsilon=0.25)
+        assert 0.25 < noisy.entries[(0, 1)][0] < 0.75
+
 
 def reference_draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     """The per-replication draw through the public scalar path, one row per
@@ -192,10 +203,11 @@ class TestChunkDraw:
         assert rejected.any(axis=1).sum() >= 10
 
     def test_draw_refuses_a_window_missed_by_rounding(self):
-        # The config's F(ln 9) rounds to 0.8999999999999999, so level 0.1 with
-        # epsilon 0.2 passes it; a drawn 9:1 pair gives 0.9000000000000001,
-        # whose every candidate is >= 0.8, and must not be redrawn forever.
-        config = SimulationConfig(n=4, perturb=0.1, num_sims=300, seed=1, epsilon=0.2)
+        # Level 0.1 with epsilon 0.1998 leaves the config's F(ln 9), rounded to
+        # 0.8999999999999999, an accepted share just above the floor; a drawn
+        # 1:9 pair at 0.09999999999999998 falls just below it and must be
+        # refused at the draw rather than redrawn for ages.
+        config = SimulationConfig(n=4, perturb=0.1, num_sims=300, seed=1, epsilon=0.1998)
         with pytest.raises(ValueError, match="cannot reach"):
             _draw_rows(config, 0, 300)
 
@@ -325,6 +337,20 @@ class TestErrorBound:
             error_bound(10, 0.01, -1.0)
 
 
+def chunk_newton(config: SimulationConfig):
+    """The batch solve of _solve_chunk over every replication of the config:
+    (m, iterations, converged), one row per (replication, structure)."""
+    n = config.n
+    ii, jj = np.array(pair_order(n), dtype=np.intp).T
+    present = _structure_mask(n)
+    d1 = _draw_rows(config, 0, config.num_sims)[:, None, :]
+    return _newton_rows(
+        np.where(present, d1, 0.0).reshape(-1, len(ii)),
+        np.where(present, 1.0 - d1, 0.0).reshape(-1, len(ii)),
+        ii, jj, n, config.model, 1e-10, 100_000,
+    )
+
+
 class TestBatchSolver:
     @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
     def test_batch_rows_match_single_calls(self, model):
@@ -349,6 +375,27 @@ class TestBatchSolver:
         for r, data in enumerate(mats):
             single = bt_mle(data, model)
             assert np.array_equal(batch_m[r], single.m.values)
+
+    @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_unperturbed_rows_stop_after_one_step(self, n, model):
+        # Exact probabilities are consistent, so the least-squares start of
+        # every structure is already the MLE.
+        config = SimulationConfig(n=n, perturb=0.0, num_sims=20, seed=1, model=model)
+        _, iterations, converged = chunk_newton(config)
+        assert converged.all()
+        assert np.all(iterations == 1)
+
+    @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
+    @pytest.mark.parametrize("n, sims", [(4, 2000), (5, 1000), (6, 150)])
+    def test_least_squares_start_keeps_newton_short(self, n, sims, model):
+        # Row iterations over every structure; the zero start needed a median
+        # of 5-6 and a 99th percentile of 8 here.
+        config = SimulationConfig(n=n, perturb=0.15, num_sims=sims, seed=1, model=model)
+        _, iterations, converged = chunk_newton(config)
+        assert converged.all()
+        assert np.percentile(iterations, 50) <= 4
+        assert np.percentile(iterations, 99) <= 6
 
     def test_chunking_does_not_change_results(self):
         config = SimulationConfig(n=4, perturb=0.2, num_sims=12, seed=77)
@@ -497,6 +544,24 @@ class TestRun:
                          epsilon=0.4)
         # Level 0 draws nothing, so any epsilon is accepted.
         SimulationConfig(n=4, perturb=0.0, num_sims=5, seed=1, model=model, epsilon=0.45)
+
+    @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
+    def test_config_rejects_a_sliver_epsilon_window(self, model):
+        # Reachable, but by fewer than 1 in 1,000 draws of the extreme pair.
+        extreme = float(model.cdf(math.log(9.0)))
+        sliver = 1.0 - (extreme - 0.1) - 1e-11
+        with pytest.raises(ValueError, match="cannot reach"):
+            SimulationConfig(n=4, perturb=0.1, num_sims=5, seed=1, model=model, epsilon=sliver)
+        SimulationConfig(n=4, perturb=0.1, num_sims=5, seed=1, model=model,
+                         epsilon=sliver - 1e-3)
+
+    def test_worker_count_rejects_a_non_integer(self, monkeypatch):
+        for raw in ("abc", "2.5", "", "0"):
+            monkeypatch.setenv("PAIRCOMP_THREADS", raw)
+            with pytest.raises(ValueError, match="PAIRCOMP_THREADS must be a positive integer"):
+                worker_count()
+        monkeypatch.setenv("PAIRCOMP_THREADS", "3")
+        assert worker_count() == 3
 
 
 def test_failed_replications_are_excluded_and_counted(monkeypatch):
