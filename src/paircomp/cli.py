@@ -41,7 +41,7 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8", newline="")
 
 
 def _float_list(values) -> str:
@@ -171,31 +171,10 @@ def _cmd_simulate(args) -> int:
         print(f"paircomp: {done}/{total} replications", file=sys.stderr)
 
     summary = run(config, progress=progress)
-    if args.json:
-        _write_output(fileio.results_json(summary), args.out)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            fileio.write_results(summary, handle)
+    _write_output(fileio.results_table(summary, args.json), args.out)
     if summary.failures:
         print(f"paircomp: {len(summary.failures)} evaluations excluded", file=sys.stderr)
     return 0
-
-
-def _render_table(header, table, as_json: bool) -> str:
-    if as_json:
-        return json.dumps([dict(zip(header, row)) for row in table], indent=2) + "\n"
-    lines = [",".join(header)]
-    for row in table:
-        lines.append(",".join(_cell(value) for value in row))
-    return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _cmd_report(args) -> int:
@@ -203,7 +182,7 @@ def _cmd_report(args) -> int:
     for path in args.results:
         rows.extend(fileio.read_results(path))
     header, table = report.build_figure(args.figure, rows, args.graph)
-    _write_output(_render_table(header, table, args.json), args.out)
+    _write_output(fileio.format_table(header, table, args.json), args.out)
     return 0
 
 

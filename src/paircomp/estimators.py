@@ -7,15 +7,17 @@
 * :func:`bt_mle` — maximum likelihood for the Bradley-Terry (logistic) and
   Thurstone (standard normal) models, gauge-fixed at m_1 = 0.
 
-Solver choices: both likelihoods are concave and maximized by one batched
-damped Newton solver, whose Hessian is a graph Laplacian weighted by the
-curvature of ln F on each pair; it converges when the full Newton step is
-below the tolerance, which bounds the error because convergence is
+Solver choices: LLSM, the likelihoods' least-squares start and every Newton
+step solve the same system, a weighted graph Laplacian grounded at m_1 = 0,
+through one batched routine.  Both likelihoods are concave and maximized by
+one batched damped Newton solver, whose Hessian is the Laplacian weighted by
+the curvature of ln F on each pair; it converges when the full Newton step
+is below the tolerance, which bounds the error because convergence is
 quadratic near the optimum.  It starts from the least-squares solution of
-F^-1(d2 / (d1 + d2)) = m_i - m_j, one unit-weight Laplacian solve: on
-consistent data every equation holds exactly, and the paper shows the
-least-squares and likelihood optima then coincide, so the start is the MLE;
-under noise it is close to it.  The eigenvalue completion minimizes
+F^-1(d2 / (d1 + d2)) = m_i - m_j, a unit-weight solve: on consistent data
+every equation holds exactly, and the paper shows the least-squares and
+likelihood optima then coincide, so the start is the MLE; under noise it is
+close to it.  The eigenvalue completion minimizes
 log lambda_max, which is convex in the logs of the missing entries with a
 unique optimum on connected comparison graphs, by damped Newton with the
 exact Perron gradient and Hessian; eigenpairs come from the dense
@@ -108,11 +110,18 @@ def _mills(x):
     return np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_ndtr(x))
 
 
-def _score(delta, model: ModelKind):
-    """d/d delta of ln F(delta)."""
+def _pair_derivatives(delta, d1, d2, model: ModelKind):
+    """Slope and negated curvature in delta = m_i - m_j of each pair's term
+    d1 ln F(-delta) + d2 ln F(delta).  With s = F'/F, -(ln F)'' is p(1 - p)
+    for the logistic (even in delta) and s(delta + s) for the normal: both are
+    positive, so the reduced Laplacian they weight is definite on connected graphs."""
     if model is ModelKind.LOGISTIC:
-        return model.cdf(-delta)
-    return _mills(delta)
+        s_pos, s_neg = model.cdf(-delta), model.cdf(delta)
+        curvature = (d1 + d2) * s_pos * s_neg
+    else:
+        s_pos, s_neg = _mills(delta), _mills(-delta)
+        curvature = d2 * s_pos * (delta + s_pos) + d1 * s_neg * (s_neg - delta)
+    return d2 * s_pos - d1 * s_neg, curvature
 
 
 def _incidence_sums(at_i, at_j, ii, jj, n):
@@ -125,14 +134,18 @@ def _incidence_sums(at_i, at_j, ii, jj, n):
     return np.bincount(bins, values, rows * n).reshape(rows, n)
 
 
-def _laplacian_rows(weights, ii, jj, n):
-    """Graph Laplacians of shape (rows, n, n), one per row of pair weights."""
+def _grounded_solve(weights, rhs, ii, jj, n):
+    """Solve L x = rhs, one system per row of rhs (rows, n), in the x_1 = 0
+    gauge: L is the graph Laplacian weighting pair (ii[s], jj[s]) by
+    weights[:, s], and its first equation, implied by the rest, is dropped."""
     lap = np.zeros((weights.shape[0], n, n))
     lap[:, ii, jj] = -weights
     lap[:, jj, ii] = -weights
     diagonal = np.arange(n)
     lap[:, diagonal, diagonal] = _incidence_sums(weights, weights, ii, jj, n)
-    return lap
+    x = np.zeros_like(rhs)
+    x[:, 1:] = np.linalg.solve(lap[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
+    return x
 
 
 def log_likelihood_gradient(
@@ -143,8 +156,7 @@ def log_likelihood_gradient(
     if len(m) != data.n:
         raise ValueError("expected value vector does not match item count")
     ii, jj, d1, d2 = _pair_data(data)
-    delta = m.values[ii] - m.values[jj]
-    g_pair = d2 * _score(delta, model) - d1 * _score(-delta, model)
+    g_pair = _pair_derivatives(m.values[ii] - m.values[jj], d1, d2, model)[0]
     return _incidence_sums(g_pair[None, :], -g_pair[None, :], ii, jj, data.n)[0]
 
 
@@ -191,9 +203,8 @@ def _least_squares_start(d1, d2, ii, jj, n, model: ModelKind):
     # Pairs without two-sided data get share 1/2, whose link is exactly 0.
     link = model.inverse_cdf(np.divide(d2, d1 + d2, out=np.full_like(d2, 0.5), where=both))
     fitted = np.flatnonzero(~np.any(((d1 > 0) != (d2 > 0)) | ~np.isfinite(link), axis=1))
-    laplacian = _laplacian_rows(both[fitted].astype(float), ii, jj, n)
     rhs = _incidence_sums(link[fitted], -link[fitted], ii, jj, n)
-    m[fitted, 1:] = np.linalg.solve(laplacian[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
+    m[fitted] = _grounded_solve(both[fitted].astype(float), rhs, ii, jj, n)
     return m
 
 
@@ -218,20 +229,9 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     active = np.arange(rows)
     for step in range(1, max_iter + 1):
         ma, a1, a2 = m[active], d1[active], d2[active]
-        delta = ma[:, ii] - ma[:, jj]
-        s_pos, s_neg = _score(delta, model), _score(-delta, model)
-        g_pair = a2 * s_pos - a1 * s_neg
+        g_pair, h_pair = _pair_derivatives(ma[:, ii] - ma[:, jj], a1, a2, model)
         grad = _incidence_sums(g_pair, -g_pair, ii, jj, n)
-        # Pair curvatures -(ln F)'': p(1 - p) for the logistic, which is even in
-        # delta; s(delta + s) with s = phi/Phi for the normal.  Both are
-        # positive, so the reduced Laplacian is definite on connected graphs.
-        if model is ModelKind.LOGISTIC:
-            h_pair = (a1 + a2) * s_pos * s_neg
-        else:
-            h_pair = a2 * s_pos * (delta + s_pos) + a1 * s_neg * (s_neg - delta)
-        hess = _laplacian_rows(h_pair, ii, jj, n)
-        direction = np.zeros_like(ma)
-        direction[:, 1:] = np.linalg.solve(hess[:, 1:, 1:], grad[:, 1:, None])[..., 0]
+        direction = _grounded_solve(h_pair, grad, ii, jj, n)
         iterations[active] = step
         # Take the full step where the ascent it promises (half the Newton
         # decrement) is below the rounding of the log-likelihood: there a
@@ -306,13 +306,10 @@ def llsm(pcm: IPCM) -> WeightVector:
     if n == 1:
         return WeightVector(np.ones(1))
     pairs = pcm.known_pairs()
-    ii = np.array([p[0] for p in pairs], dtype=np.intp)
-    jj = np.array([p[1] for p in pairs], dtype=np.intp)
+    ii, jj = np.array(pairs, dtype=np.intp).T
     log_ratio = np.array([[math.log(pcm.entries[p]) for p in pairs]])
-    laplacian = _laplacian_rows(np.ones_like(log_ratio), ii, jj, n)[0]
-    rhs = _incidence_sums(log_ratio, -log_ratio, ii, jj, n)[0]
-    y = np.zeros(n)
-    y[1:] = np.linalg.solve(laplacian[1:, 1:], rhs[1:])
+    rhs = _incidence_sums(log_ratio, -log_ratio, ii, jj, n)
+    y = _grounded_solve(np.ones_like(log_ratio), rhs, ii, jj, n)[0]
     return WeightVector.normalized(np.exp(y - y.max()))
 
 

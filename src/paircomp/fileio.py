@@ -1,9 +1,10 @@
 """File formats: comparison pair lists, ratio matrix grids, result tables.
 
-All files are UTF-8 CSV with dot decimal separators and LF newlines; floats
-are written with 17 significant digits so that emit(parse(file)) reproduces
-the numbers bit for bit.  Item indices are 1-based in files and 0-based in
-memory.
+All files are UTF-8 CSV with dot decimal separators and LF newlines; a
+leading byte-order mark is skipped on reading.  Floats are written with 17
+significant digits so that emit(parse(file)) reproduces the numbers bit for
+bit; one writer, :func:`format_table`, renders every table as CSV or JSON.
+Item indices are 1-based in files and 0-based in memory.
 """
 
 from __future__ import annotations
@@ -40,11 +41,26 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def format_table(header, table, as_json: bool = False) -> str:
+    """A table as CSV (floats with 17 significant digits, lower-case
+    booleans) or as a JSON list of one object per row."""
+    if as_json:
+        return json.dumps([dict(zip(header, row)) for row in table], indent=2) + "\n"
+
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return str(value).lower()
+        return _fmt(value) if isinstance(value, float) else str(value)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *table])
+
+
 def _rows_of(source: str | Path | TextIO) -> list[list[str]]:
+    # A leading byte-order mark, as spreadsheet programs write, is not data.
     if hasattr(source, "read"):
-        text = source.read()
+        text = source.read().removeprefix("\ufeff")
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8-sig")
     return [row for row in csv.reader(io.StringIO(text)) if row]
 
 
@@ -62,6 +78,8 @@ def parse_pairs(source: str | Path | TextIO, n: int | None = None) -> DataMatrix
     """Read a comparison list with header ``i,j,worse,better``; one row per
     pair with 1-based indices i < j.  The item count is the largest index
     seen unless ``n`` overrides it."""
+    if n is not None and n < 1:
+        raise ParseError(f"item count must be at least 1, got {n}")
     rows = _rows_of(source)
     if not rows or tuple(c.strip().lower() for c in rows[0]) != PAIRS_HEADER:
         raise BadHeader(f"expected header {','.join(PAIRS_HEADER)!r}")
@@ -97,10 +115,8 @@ def parse_pairs(source: str | Path | TextIO, n: int | None = None) -> DataMatrix
 
 
 def emit_pairs(data: DataMatrix) -> str:
-    lines = [",".join(PAIRS_HEADER)]
-    for (i, j), (worse, better) in sorted(data.entries.items()):
-        lines.append(f"{i + 1},{j + 1},{_fmt(worse)},{_fmt(better)}")
-    return "\n".join(lines) + "\n"
+    table = [(i + 1, j + 1, *amounts) for (i, j), amounts in sorted(data.entries.items())]
+    return format_table(PAIRS_HEADER, table)
 
 
 def parse_pcm(
@@ -202,11 +218,6 @@ class ResultRow:
 RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
-def _result_cells(row: ResultRow) -> dict:
-    """A row's cells by column, as written to the CSV and JSON tables."""
-    return {**vars(row), "graph_id": f"g{row.graph_id}"}
-
-
 def results_rows(summary: SimulationSummary) -> list[ResultRow]:
     config = summary.config
     rows = []
@@ -231,11 +242,14 @@ def results_rows(summary: SimulationSummary) -> list[ResultRow]:
     return rows
 
 
+def results_table(summary: SimulationSummary, as_json: bool = False) -> str:
+    """The results table of a run, graph ids written as labels (g12)."""
+    labeled = ({**vars(row), "graph_id": f"g{row.graph_id}"} for row in results_rows(summary))
+    return format_table(RESULTS_HEADER, [tuple(cells.values()) for cells in labeled], as_json)
+
+
 def write_results(summary: SimulationSummary, out: TextIO) -> None:
-    out.write(",".join(RESULTS_HEADER) + "\n")
-    for row in results_rows(summary):
-        cells = _result_cells(row).values()
-        out.write(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in cells) + "\n")
+    out.write(results_table(summary))
 
 
 def read_results(source: str | Path | TextIO) -> list[ResultRow]:
@@ -286,8 +300,7 @@ def read_results(source: str | Path | TextIO) -> list[ResultRow]:
 
 
 def results_json(summary: SimulationSummary) -> str:
-    payload = [_result_cells(row) for row in results_rows(summary)]
-    return json.dumps(payload, indent=2) + "\n"
+    return results_table(summary, as_json=True)
 
 
 def graphs_json(classes: Iterable[GraphClass]) -> str:

@@ -4,7 +4,9 @@ Graphs on up to 6 vertices are enumerated by scanning all edge subsets and
 deduplicating with a canonical code: the lexicographically minimal edge
 bitstring over all vertex relabelings.  At this scale an exhaustive
 permutation scan (at most 8! relabelings) is fast and easy to verify, so no
-general canonical-labeling algorithm is used.
+general canonical-labeling algorithm is used.  One cached table per n holds
+the image of every pair under every permutation; canonical codes and the
+catalog's orbit marking both read a graph's relabelings from it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 from .core import ComparisonGraph, _breadth_first
 from .errors import DisconnectedGraph, TooLarge
@@ -29,20 +33,28 @@ def pair_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def _encode(n: int, edges) -> int:
-    k = n * (n - 1) // 2
+@functools.cache
+def _pair_images(n: int) -> np.ndarray:
+    """images[p, s]: the index of pair s's image under the p-th vertex
+    permutation (in itertools order); shape (n!, k)."""
     index = {p: s for s, p in enumerate(pair_order(n))}
-    code = 0
-    for i, j in edges:
-        code |= 1 << (k - 1 - index[(min(i, j), max(i, j))])
-    return code
+    images = [
+        [index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pair_order(n)]
+        for perm in permutations(range(n))
+    ]
+    return np.array(images, dtype=np.uint8)
 
 
-def _decode(n: int, code: int) -> ComparisonGraph:
+def _relabelings(n: int, pairs: list[int]) -> np.ndarray:
+    """A graph's codes, given its pair indices, under every vertex permutation."""
     k = n * (n - 1) // 2
-    pairs = pair_order(n)
-    edges = [pairs[s] for s in range(k) if code >> (k - 1 - s) & 1]
-    return ComparisonGraph(n, edges)
+    return (1 << (k - 1 - _pair_images(n)[:, pairs].astype(np.int64))).sum(axis=1)
+
+
+def _pairs_of(n: int, code: int) -> list[int]:
+    """Indices (in :func:`pair_order`) of the pairs set in a code."""
+    k = n * (n - 1) // 2
+    return [s for s in range(k) if code >> (k - 1 - s) & 1]
 
 
 def canonical_code(graph: ComparisonGraph) -> int:
@@ -52,13 +64,8 @@ def canonical_code(graph: ComparisonGraph) -> int:
     n = graph.n
     if n > MAX_CANONICAL_N:
         raise TooLarge(f"canonical code scans n! permutations; n={n} exceeds {MAX_CANONICAL_N}")
-    edges = graph.sorted_edges()
-    best = None
-    for perm in permutations(range(n)):
-        code = _encode(n, ((perm[i], perm[j]) for i, j in edges))
-        if best is None or code < best:
-            best = code
-    return best
+    pairs = pair_order(n)
+    return int(_relabelings(n, [pairs.index(edge) for edge in graph.sorted_edges()]).min())
 
 
 def code_to_hex(n: int, code: int) -> str:
@@ -91,7 +98,8 @@ class GraphClass:
 
     def member(self) -> ComparisonGraph:
         """The canonical member graph (the one realizing the code)."""
-        return _decode(self.n, self.canonical_code)
+        pairs = pair_order(self.n)
+        return ComparisonGraph(self.n, [pairs[s] for s in _pairs_of(self.n, self.canonical_code)])
 
 
 @dataclass(frozen=True)
@@ -121,21 +129,12 @@ def enumerate_connected(n: int) -> tuple[GraphClass, ...]:
         raise TooLarge(f"catalog covers n <= {MAX_CATALOG_N}, got {n}")
     k = n * (n - 1) // 2
     pairs = pair_order(n)
-    perms = list(permutations(range(n)))
-    # Bit positions of each pair under each permutation, for orbit expansion.
-    index = {p: s for s, p in enumerate(pairs)}
-    perm_maps = []
-    for perm in perms:
-        perm_maps.append(
-            [index[(min(perm[i], perm[j]), max(perm[i], perm[j]))] for (i, j) in pairs]
-        )
-
-    visited = bytearray(1 << k)
+    visited = np.zeros(1 << k, dtype=bool)
     codes: list[int] = []
     for code in range(1, 1 << k):
         if visited[code]:
             continue
-        bits = [s for s in range(k) if code >> (k - 1 - s) & 1]
+        bits = _pairs_of(n, code)
         adj: list[list[int]] = [[] for _ in range(n)]
         for s in bits:
             i, j = pairs[s]
@@ -144,11 +143,7 @@ def enumerate_connected(n: int) -> tuple[GraphClass, ...]:
         if len(_breadth_first(adj)) < n:
             continue
         codes.append(code)
-        for pmap in perm_maps:
-            image = 0
-            for s in bits:
-                image |= 1 << (k - 1 - pmap[s])
-            visited[image] = 1
+        visited[_relabelings(n, bits)] = True
 
     codes.sort(key=lambda c: (bin(c).count("1"), c))
     return tuple(

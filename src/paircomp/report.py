@@ -1,8 +1,9 @@
 """Plot-ready tables derived from simulation result files.
 
 Each builder filters and aggregates :class:`~paircomp.fileio.ResultRow`
-records into a tidy (header, rows) pair; rendering to CSV or JSON is the
-command line's job.  Builders are pure functions of the result rows.
+records into a tidy (header, rows) pair for :func:`~paircomp.fileio.format_table`
+to render.  Builders are pure functions of the result rows; the by-edges
+tables share one grouping.
 """
 
 from __future__ import annotations
@@ -30,18 +31,23 @@ def _measure_key(measure: str) -> int:
     return MEASURE_NAMES.index(measure)
 
 
+def _by_edges(rows: list[ResultRow]):
+    """Rows grouped by (perturb, edges, measure), sorted on that key with
+    measures in canonical order."""
+    groups: dict[tuple[float, int, str], list[ResultRow]] = defaultdict(list)
+    for r in rows:
+        groups[(r.perturb, r.edges, r.measure)].append(r)
+    return sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1], _measure_key(kv[0][2])))
+
+
 def averages_by_edges(rows: list[ResultRow]):
     """Mean of the per-structure means, grouped by edge count."""
     n, model = _context(rows)
-    groups: dict[tuple[float, int, str], list[float]] = defaultdict(list)
-    for r in rows:
-        groups[(r.perturb, r.edges, r.measure)].append(r.mean)
     header = ("n", "perturb", "model", "edges", "measure", "mean", "classes")
     table = [
-        (n, perturb, model, edges, measure, sum(v) / len(v), len(v))
-        for (perturb, edges, measure), v in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[0][1], _measure_key(kv[0][2]))
-        )
+        (n, perturb, model, edges, measure, sum(r.mean for r in members) / len(members),
+         len(members))
+        for (perturb, edges, measure), members in _by_edges(rows)
     ]
     return header, table
 
@@ -50,9 +56,6 @@ def best_by_edges(rows: list[ResultRow]):
     """Best and worst structure per edge count for every measure; lets a
     k-edge best be compared against a (k+1)-edge worst directly."""
     n, model = _context(rows)
-    groups: dict[tuple[float, int, str], list[ResultRow]] = defaultdict(list)
-    for r in rows:
-        groups[(r.perturb, r.edges, r.measure)].append(r)
     header = (
         "n",
         "perturb",
@@ -65,9 +68,7 @@ def best_by_edges(rows: list[ResultRow]):
         "worst_mean",
     )
     table = []
-    for (perturb, edges, measure), members in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1], _measure_key(kv[0][2]))
-    ):
+    for (perturb, edges, measure), members in _by_edges(rows):
         ordered = sorted(members, key=lambda r: r.mean, reverse=HIGHER_IS_BETTER[measure])
         best, worst = ordered[0], ordered[-1]
         table.append(

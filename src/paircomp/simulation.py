@@ -9,14 +9,15 @@ structure against the complete evaluation with six similarity measures.
 
 Replications are drawn, fitted and scored chunk by chunk in arrays, one batch
 row per (replication, structure).  Replication r still owns the substream
-(seed, r): n integers, a block of one uniform per pair, then scalar redraws in
-pair order after a rejected draw.  Rows of the batch solver are frozen
-individually on convergence, so results are bitwise identical however
-replications are chunked.
+(seed, r): n integers, then one uniform per pair, drawn as a block unless a
+draw is rejected, when the row is redrawn pair by pair as :func:`perturb_data`
+does.  Rows of the batch solver are frozen individually on convergence, so
+results are bitwise identical however replications are chunked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -168,13 +169,20 @@ def perturb_data(
     if level == 0.0:
         return data
     _check_reachable(exact, level, epsilon)
-    entries = {}
-    for pair, d1 in zip(pairs, exact.tolist()):
+    perturbed = _redraw(exact.tolist(), level, epsilon, rng)
+    return DataMatrix(data.n, {pair: (d1, 1.0 - d1) for pair, d1 in zip(pairs, perturbed)})
+
+
+def _redraw(exact, level: float, epsilon: float, rng: np.random.Generator) -> list[float]:
+    """Each value of ``exact`` in turn plus a uniform draw from
+    [-level, level], redrawn until the sum lies in (epsilon, 1 - epsilon)."""
+    perturbed = []
+    for d1 in exact:
         candidate = d1 + rng.uniform(-level, level)
         while not epsilon < candidate < 1.0 - epsilon:
             candidate = d1 + rng.uniform(-level, level)
-        entries[pair] = (candidate, 1.0 - candidate)
-    return DataMatrix(data.n, entries)
+        perturbed.append(candidate)
+    return perturbed
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +280,13 @@ def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
         return exact
     _check_reachable(exact, level, epsilon)  # F(ln 9) in the config can round low
     d1 = exact + np.array([rng.uniform(-level, level, size=len(ii)) for rng in rngs])
-    # Replay a rejected row's stream up to its first rejected pair, then redraw.
-    rejected = (d1 <= epsilon) | (d1 >= 1.0 - epsilon)
-    for row in np.flatnonzero(rejected.any(axis=1)):
-        first = int(np.argmax(rejected[row]))
+    # Replay a row with a rejected draw on the scalar path from just after its
+    # n integers: a stream gives the same values one at a time as in a block,
+    # so the accepted pairs come back unchanged.
+    for row in np.flatnonzero(np.any((d1 <= epsilon) | (d1 >= 1.0 - epsilon), axis=1)):
         rng = np.random.default_rng([config.seed, start + row])
         rng.integers(1, 10, size=n)
-        rng.uniform(-level, level, size=first)
-        for s in range(first, len(ii)):
-            value = exact[row, s] + rng.uniform(-level, level)
-            while not epsilon < value < 1.0 - epsilon:
-                value = exact[row, s] + rng.uniform(-level, level)
-            d1[row, s] = value
+        d1[row] = _redraw(exact[row], level, epsilon, rng)
     return d1
 
 
@@ -365,19 +368,13 @@ def run(
     bounds = _chunk_bounds(total, threads, len(classes))
 
     outputs = []
-    if threads == 1 or len(bounds) == 1:
-        for s, e in bounds:
-            outputs.append(_solve_chunk(config, s, e))
+    pool = ProcessPoolExecutor(threads) if threads > 1 and len(bounds) > 1 else None
+    with pool or contextlib.nullcontext():
+        chunks = (pool.map if pool else map)(_solve_chunk, repeat(config), *zip(*bounds))
+        for out, (_, e) in zip(chunks, bounds):
+            outputs.append(out)
             if progress is not None:
                 progress(e, total)
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for out, (_, e) in zip(
-                pool.map(_solve_chunk, repeat(config), *zip(*bounds)), bounds
-            ):
-                outputs.append(out)
-                if progress is not None:
-                    progress(e, total)
 
     measures = np.concatenate([o[0] for o in outputs], axis=0)
     failures = tuple(f for o in outputs for f in o[1])

@@ -159,6 +159,11 @@ class TestRank:
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["method"] == "bt"
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_item_count_below_one_is_named(self, capsys, pairs_file, n):
+        assert main(["rank", "--input", pairs_file, "--n", n]) == 1
+        assert capsys.readouterr().err == f"paircomp: item count must be at least 1, got {n}\n"
+
 
 class TestConsistency:
     def test_consistent_input(self, capsys, tmp_path):
@@ -347,3 +352,14 @@ class TestSimulateAndReport:
             row = csv_rows[(int(entry["graph_id"][1:]), entry["measure"])]
             assert entry["mean"] == row.mean
             assert entry["stddev"] == row.stddev
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_dash_out_prints_to_stdout(self, capsys, monkeypatch, tmp_path, flags):
+        argv = ["simulate", "--n", "4", "--perturb", "0.1", "--sims", "4", "--seed", "7", *flags]
+        target = tmp_path / "results.out"
+        assert main([*argv, "--out", str(target)]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out == target.read_text(encoding="utf-8")
+        assert not (tmp_path / "-").exists()

@@ -67,6 +67,16 @@ class TestParsePairs:
         with pytest.raises(ParseError):
             parse_pairs(io.StringIO("i,j,worse,better\n"))
 
+    def test_empty_body_without_override_asks_for_n(self):
+        with pytest.raises(ParseError, match="^cannot infer the item count from an empty file"):
+            parse_pairs(io.StringIO("i,j,worse,better\n"))
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_item_count_below_one_is_named(self, n):
+        for text in (SPORTS_FILE, "i,j,worse,better\n"):
+            with pytest.raises(ParseError, match=f"^item count must be at least 1, got {n}$"):
+                parse_pairs(io.StringIO(text), n=n)
+
     def test_probability_rows_are_accepted(self):
         data = parse_pairs(io.StringIO("i,j,worse,better\n1,2,0.562,0.438\n"))
         assert data.entries[(0, 1)] == (0.562, 0.438)
@@ -110,6 +120,20 @@ class TestParsePairs:
         target = tmp_path / "pairs.csv"
         target.write_text(SPORTS_FILE, encoding="utf-8")
         assert parse_pairs(target).n == 4
+
+    def test_emitted_bytes_are_pinned(self):
+        # Whole amounts print as integers, fractions with 17 digits.
+        data = DataMatrix(
+            4,
+            {(2, 3): (0.0, 1e-20), (0, 1): (3.0, 0.5), (0, 2): (1 / 3, 7.0), (1, 3): (12.0, 2 / 3)},
+        )
+        assert emit_pairs(data) == (
+            "i,j,worse,better\n"
+            "1,2,3,0.5\n"
+            "1,3,0.33333333333333331,7\n"
+            "2,4,12,0.66666666666666663\n"
+            "3,4,0,9.9999999999999995e-21\n"
+        )
 
 
 def pcm_text(pcm: IPCM) -> str:
@@ -285,6 +309,28 @@ class TestResultsBytes:
 
     def test_json_bytes_are_pinned(self):
         assert results_json(_fixed_summary()) == FIXED_JSON
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (parse_pairs, SPORTS_FILE),
+        (parse_pcm, "1,2,*\n0.5,1,4\n*,0.25,1\n"),
+        (read_results, FIXED_CSV),
+    ],
+    ids=["pairs", "pcm", "results"],
+)
+@pytest.mark.parametrize("via", ["path", "stream"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, reader, text, via):
+    # Spreadsheet programs save "CSV UTF-8" with a byte-order mark.
+    if via == "path":
+        target = tmp_path / "input.csv"
+        target.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        source = target
+    else:
+        source = io.StringIO("\ufeff" + text)
+    # Compared as text: a results table holds NaN cells, which compare unequal.
+    assert repr(reader(source)) == repr(reader(io.StringIO(text)))
 
 
 class TestGraphsJson:

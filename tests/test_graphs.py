@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -34,6 +34,22 @@ def cycle(n: int) -> ComparisonGraph:
     return ComparisonGraph(n, [(k, (k + 1) % n) for k in range(n)])
 
 
+def oracle_code(graph: ComparisonGraph) -> int:
+    """Minimal edge bitstring over all relabelings, one permutation at a time."""
+    n = graph.n
+    k = n * (n - 1) // 2
+    index = {p: s for s, p in enumerate(pair_order(n))}
+    best = None
+    for perm in permutations(range(n)):
+        code = 0
+        for i, j in graph.sorted_edges():
+            a, b = perm[i], perm[j]
+            code |= 1 << (k - 1 - index[(min(a, b), max(a, b))])
+        if best is None or code < best:
+            best = code
+    return best
+
+
 class TestCanonicalCode:
     def test_isomorphic_paths_share_a_code(self):
         a = ComparisonGraph(3, [(0, 1), (1, 2)])
@@ -62,6 +78,22 @@ class TestCanonicalCode:
         perm = rng.permutation(n)
         relabeled = ComparisonGraph(n, [(int(perm[i]), int(perm[j])) for i, j in g.edges])
         assert canonical_code(g) == canonical_code(relabeled)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_labeled_graph_matches_the_oracle(self, n):
+        pairs = pair_order(n)
+        for mask in range(1 << len(pairs)):
+            g = ComparisonGraph(n, [p for s, p in enumerate(pairs) if mask >> s & 1])
+            assert canonical_code(g) == oracle_code(g)
+
+    @pytest.mark.parametrize("n, samples", [(6, 20), (7, 4), (8, 2)])
+    def test_sampled_graphs_match_the_oracle(self, n, samples):
+        rng = np.random.default_rng(n)
+        pairs = pair_order(n)
+        for _ in range(samples):
+            keep = rng.integers(0, 2, size=len(pairs)).astype(bool)
+            g = ComparisonGraph(n, [p for p, k in zip(pairs, keep) if k])
+            assert canonical_code(g) == oracle_code(g)
 
     def test_every_catalog_member_survives_a_hundred_relabelings(self):
         rng = np.random.default_rng(71)
