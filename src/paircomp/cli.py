@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -55,25 +54,19 @@ def _load_input(args):
 
 
 def _consistency_payload(data, pcm, tol):
-    """Verdict and diagnostics for whichever representation was supplied."""
-    payload = {}
+    """Verdict and diagnostics for whichever representation was supplied;
+    only pair data has a Ford condition."""
+    graph = data.comparison_graph() if data is not None else pcm.representing_graph()
+    payload = {"connected": graph.is_connected()}
     if data is not None:
-        graph = data.comparison_graph()
-        payload["connected"] = graph.is_connected()
         payload["ford_condition"] = ford_condition(data)
-        report_ = data_consistency(data, tol) if payload["connected"] else None
-    else:
-        graph = pcm.representing_graph()
-        payload["connected"] = graph.is_connected()
-        report_ = pcm_consistency(pcm, tol) if payload["connected"] else None
-    if report_ is None:
-        payload["consistent"] = None
-    else:
+    payload["consistent"] = None
+    if payload["connected"]:
+        report_ = data_consistency(data, tol) if data is not None else pcm_consistency(pcm, tol)
+        witness = report_.witness
         payload["consistent"] = report_.consistent
         payload["max_cycle_deviation"] = report_.max_cycle_deviation
-        payload["witness"] = (
-            [v + 1 for v in report_.witness] if report_.witness is not None else None
-        )
+        payload["witness"] = [v + 1 for v in witness] if witness is not None else None
     return payload
 
 
@@ -105,7 +98,7 @@ def _cmd_rank(args) -> int:
     payload.update(_consistency_payload(data, pcm, args.tol))
 
     if args.json:
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_output(fileio.format_json(payload), args.out)
         return 0
     lines = [f"method: {payload['method']}", f"items: {payload['n']}"]
     lines.append(f"weights: {_float_list(payload['weights'])}")
@@ -121,31 +114,22 @@ def _cmd_rank(args) -> int:
 
 
 def _consistency_lines(payload) -> list[str]:
-    lines = [f"connected: {str(payload['connected']).lower()}"]
-    if "ford_condition" in payload:
-        lines.append(f"ford_condition: {str(payload['ford_condition']).lower()}")
+    lines = [f"{key}: {str(payload[key]).lower()}" for key in ("connected", "ford_condition")
+             if key in payload]
     if payload["consistent"] is None:
-        lines.append("consistency: undefined (graph not connected)")
-    elif payload["consistent"]:
-        lines.append(
-            f"consistency: consistent (max cycle deviation {payload['max_cycle_deviation']:.6g})"
-        )
-    else:
-        witness = "-".join(str(v) for v in payload["witness"])
-        lines.append(
-            f"consistency: inconsistent (max cycle deviation {payload['max_cycle_deviation']:.6g})"
-        )
-        lines.append(f"witness: {witness}")
+        return [*lines, "consistency: undefined (graph not connected)"]
+    verdict = "consistent" if payload["consistent"] else "inconsistent"
+    deviation = payload["max_cycle_deviation"]
+    lines.append(f"consistency: {verdict} (max cycle deviation {deviation:.6g})")
+    if not payload["consistent"]:
+        lines.append(f"witness: {'-'.join(map(str, payload['witness']))}")
     return lines
 
 
 def _cmd_consistency(args) -> int:
-    data, pcm = _load_input(args)
-    payload = _consistency_payload(data, pcm, args.tol)
-    if args.json:
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _write_output("\n".join(_consistency_lines(payload)) + "\n", args.out)
+    payload = _consistency_payload(*_load_input(args), args.tol)
+    lines = _consistency_lines(payload)
+    _write_output(fileio.format_json(payload) if args.json else "\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -397,13 +397,16 @@ def _cycle_check(
 ) -> ConsistencyReport:
     """Check that every fundamental cycle of the breadth-first spanning tree
     from vertex 0 (lowest-index neighbors first) has zero sum of log ratios
-    (within tol); raises if the graph is not connected.  Any cycle's sum is a
-    signed combination of fundamental-cycle sums, so fundamental cycles
-    suffice.
+    (within tol); raises if the graph is not connected, and raises ValueError
+    unless tol >= 0, as a failed check must name a witness cycle.  Any cycle's
+    sum is a signed combination of fundamental-cycle sums, so fundamental
+    cycles suffice.
 
     ``log_ratio[(i, j)]`` (i < j) is ln of the ratio oriented from i to j; the
     reverse orientation contributes the negative.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"cycle tolerance must be nonnegative, got {tol}")
     parent = _breadth_first(graph.adjacency())
     if len(parent) != graph.n:
         raise DisconnectedGraph(

@@ -3,8 +3,11 @@
 All files are UTF-8 CSV with dot decimal separators and LF newlines; a
 leading byte-order mark is skipped on reading.  Floats are written with 17
 significant digits so that emit(parse(file)) reproduces the numbers bit for
-bit; one writer, :func:`format_table`, renders every table as CSV or JSON.
-Item indices are 1-based in files and 0-based in memory.
+bit.  Item indices are 1-based in files and 0-based in memory.  Owners:
+:func:`format_table` writes every table and :func:`format_json` every JSON
+document; the fields of :class:`ResultRow` give the results header and cell
+types, and those of :class:`~paircomp.graphs.GraphProperties` a catalog
+entry's properties; :mod:`paircomp.graphs` spells labels and hex codes.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import csv
 import io
 import json
 import math
-import re
-from dataclasses import dataclass, fields
+import string
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, TextIO, get_type_hints
 
 from .core import IPCM, DataMatrix, RECIPROCITY_TOL
 from .errors import (
@@ -28,7 +31,7 @@ from .errors import (
     NotReciprocal,
     ParseError,
 )
-from .graphs import GraphClass, properties
+from .graphs import GraphClass, format_label, parse_label, properties
 from .simulation import MEASURE_NAMES, SimulationSummary
 
 PAIRS_HEADER = ("i", "j", "worse", "better")
@@ -41,11 +44,16 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def format_json(payload) -> str:
+    """A JSON document: indented by two spaces, ending in a newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def format_table(header, table, as_json: bool = False) -> str:
     """A table as CSV (floats with 17 significant digits, lower-case
     booleans) or as a JSON list of one object per row."""
     if as_json:
-        return json.dumps([dict(zip(header, row)) for row in table], indent=2) + "\n"
+        return format_json([dict(zip(header, row)) for row in table])
 
     def cell(value) -> str:
         if isinstance(value, bool):
@@ -56,20 +64,21 @@ def format_table(header, table, as_json: bool = False) -> str:
 
 
 def _rows_of(source: str | Path | TextIO) -> list[list[str]]:
+    """The non-empty rows of a CSV file, blanks around each cell stripped."""
     # A leading byte-order mark, as spreadsheet programs write, is not data.
     if hasattr(source, "read"):
         text = source.read().removeprefix("\ufeff")
     else:
         text = Path(source).read_text(encoding="utf-8-sig")
-    return [row for row in csv.reader(io.StringIO(text)) if row]
+    return [[cell.strip() for cell in row] for row in csv.reader(io.StringIO(text)) if row]
 
 
-def _parse_float(cell: str, where: str) -> float:
+def _parse_float(cell: str, where: str, nan_ok: bool = False) -> float:
     try:
-        value = float(cell.strip())
+        value = float(cell)
     except ValueError:
-        raise ParseError(f"{where}: cannot parse {cell.strip()!r} as a number") from None
-    if math.isnan(value):
+        raise ParseError(f"{where}: cannot parse {cell!r} as a number") from None
+    if math.isnan(value) and not nan_ok:
         raise ParseError(f"{where}: NaN is not a valid value")
     return value
 
@@ -81,7 +90,7 @@ def parse_pairs(source: str | Path | TextIO, n: int | None = None) -> DataMatrix
     if n is not None and n < 1:
         raise ParseError(f"item count must be at least 1, got {n}")
     rows = _rows_of(source)
-    if not rows or tuple(c.strip().lower() for c in rows[0]) != PAIRS_HEADER:
+    if not rows or tuple(c.lower() for c in rows[0]) != PAIRS_HEADER:
         raise BadHeader(f"expected header {','.join(PAIRS_HEADER)!r}")
     entries: dict[tuple[int, int], tuple[float, float]] = {}
     highest = 0
@@ -136,7 +145,6 @@ def parse_pcm(
         if len(row) != n:
             raise ParseError(f"row {i + 1}: expected {n} cells, got {len(row)}")
         for j, cell in enumerate(row):
-            cell = cell.strip()
             where = f"cell ({i + 1}, {j + 1})"
             if i == j:
                 if cell == "*":
@@ -216,6 +224,7 @@ class ResultRow:
 
 
 RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
+_RESULT_TYPES = get_type_hints(ResultRow)
 
 
 def results_rows(summary: SimulationSummary) -> list[ResultRow]:
@@ -244,7 +253,7 @@ def results_rows(summary: SimulationSummary) -> list[ResultRow]:
 
 def results_table(summary: SimulationSummary, as_json: bool = False) -> str:
     """The results table of a run, graph ids written as labels (g12)."""
-    labeled = ({**vars(row), "graph_id": f"g{row.graph_id}"} for row in results_rows(summary))
+    labeled = ({**vars(r), "graph_id": format_label(r.graph_id)} for r in results_rows(summary))
     return format_table(RESULTS_HEADER, [tuple(cells.values()) for cells in labeled], as_json)
 
 
@@ -252,50 +261,43 @@ def write_results(summary: SimulationSummary, out: TextIO) -> None:
     out.write(results_table(summary))
 
 
-def read_results(source: str | Path | TextIO) -> list[ResultRow]:
-    rows = _rows_of(source)
-    if not rows or tuple(c.strip() for c in rows[0]) != RESULTS_HEADER:
-        raise BadHeader(f"expected header {','.join(RESULTS_HEADER)!r}")
-
-    def stat(cell: str, where: str) -> float:
-        # NaN is legitimate here: a cell whose every replication was excluded.
+def _result_cell(name: str, cell: str, where: str):
+    """One results cell, parsed by the type of its :class:`ResultRow` field."""
+    if name == "graph_id":
         try:
-            return float(cell.strip())
-        except ValueError:
-            raise ParseError(f"{where}: cannot parse {cell.strip()!r} as a number") from None
-
-    def integer(cell: str, where: str) -> int:
+            return parse_label(cell, name)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    if _RESULT_TYPES[name] is int:
         try:
             return int(cell)
         except ValueError:
-            raise ParseError(f"{where}: cannot parse {cell.strip()!r} as an integer") from None
+            raise ParseError(f"{where}: cannot parse {cell!r} as an integer") from None
+    if _RESULT_TYPES[name] is float:
+        # NaN is legitimate in a statistic: a cell whose every replication was excluded.
+        return _parse_float(cell, where, nan_ok=name in ("mean", "stddev"))
+    if name == "measure" and cell not in MEASURE_NAMES:
+        raise ParseError(f"{where}: unknown measure {cell!r}")
+    return cell
 
+
+def read_results(source: str | Path | TextIO) -> list[ResultRow]:
+    rows = _rows_of(source)
+    if not rows or tuple(rows[0]) != RESULTS_HEADER:
+        raise BadHeader(f"expected header {','.join(RESULTS_HEADER)!r}")
     parsed = []
     for number, row in enumerate(rows[1:], start=2):
         where = f"row {number}"
         if len(row) != len(RESULTS_HEADER):
             raise ParseError(f"{where}: expected {len(RESULTS_HEADER)} fields")
-        label = row[3].strip()
-        if not re.fullmatch("g[0-9]+", label):
-            raise ParseError(f"{where}: graph_id must look like g12, got {label!r}")
-        measure = row[6].strip()
-        if measure not in MEASURE_NAMES:
-            raise ParseError(f"{where}: unknown measure {measure!r}")
-        parsed.append(
-            ResultRow(
-                n=integer(row[0], where),
-                perturb=_parse_float(row[1], where),
-                model=row[2].strip(),
-                graph_id=int(label[1:]),
-                edges=integer(row[4], where),
-                canonical_code=row[5].strip(),
-                measure=measure,
-                mean=stat(row[7], where),
-                stddev=stat(row[8], where),
-                num_sims=integer(row[9], where),
-                excluded=integer(row[10], where),
-            )
-        )
+        result = ResultRow(*(_result_cell(*pair, where) for pair in zip(RESULTS_HEADER, row)))
+        # The code must be hex and name a graph on n vertices with `edges` edges.
+        code, k = result.canonical_code, result.n * (result.n - 1) // 2
+        value = int(code, 16) if code and set(code) <= set(string.hexdigits) else -1
+        if value < 0 or value.bit_length() > k or value.bit_count() != result.edges:
+            raise ParseError(f"{where}: canonical_code {code!r} is not a code of a graph "
+                             f"on {result.n} vertices with {result.edges} edges")
+        parsed.append(result)
     return parsed
 
 
@@ -308,7 +310,6 @@ def graphs_json(classes: Iterable[GraphClass]) -> str:
     payload = []
     for cls in classes:
         member = cls.member()
-        props = properties(member)
         payload.append(
             {
                 "id": cls.label,
@@ -316,14 +317,7 @@ def graphs_json(classes: Iterable[GraphClass]) -> str:
                 "edge_count": cls.edge_count,
                 "canonical_code": cls.code_hex,
                 "edges": [[i + 1, j + 1] for i, j in member.sorted_edges()],
-                "properties": {
-                    "degree_sequence": list(props.degree_sequence),
-                    "is_regular": props.is_regular,
-                    "is_bipartite": props.is_bipartite,
-                    "is_star": props.is_star,
-                    "is_spanning_tree": props.is_spanning_tree,
-                    "diameter": props.diameter,
-                },
+                "properties": asdict(properties(member)),
             }
         )
-    return json.dumps(payload, indent=2) + "\n"
+    return format_json(payload)

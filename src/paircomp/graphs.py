@@ -7,11 +7,14 @@ permutation scan (at most 8! relabelings) is fast and easy to verify, so no
 general canonical-labeling algorithm is used.  One cached table per n holds
 the image of every pair under every permutation; canonical codes and the
 catalog's orbit marking both read a graph's relabelings from it.
+This module owns how files and reports spell a class: its label ``g<id>``
+(:func:`format_label`, :func:`parse_label`) and :attr:`GraphClass.code_hex`.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -68,10 +71,16 @@ def canonical_code(graph: ComparisonGraph) -> int:
     return int(_relabelings(n, [pairs.index(edge) for edge in graph.sorted_edges()]).min())
 
 
-def code_to_hex(n: int, code: int) -> str:
-    """Fixed-width hex rendering of a code for n-vertex graphs."""
-    nibbles = -(-(n * (n - 1) // 2) // 4)
-    return format(code, f"0{nibbles}x")
+def format_label(graph_id: int) -> str:
+    """The label of class ``graph_id`` in files and reports, as in g12."""
+    return f"g{graph_id}"
+
+
+def parse_label(text: str, what: str = "graph label") -> int:
+    """The id in a label such as " g12 "; raises ValueError naming ``what``."""
+    if not re.fullmatch("g[0-9]+", text.strip()):
+        raise ValueError(f"{what} must look like g12, got {text!r}")
+    return int(text.strip()[1:])
 
 
 @dataclass(frozen=True)
@@ -90,11 +99,12 @@ class GraphClass:
 
     @property
     def label(self) -> str:
-        return f"g{self.id}"
+        return format_label(self.id)
 
     @property
     def code_hex(self) -> str:
-        return code_to_hex(self.n, self.canonical_code)
+        nibbles = -(-(self.n * (self.n - 1) // 2) // 4)
+        return format(self.canonical_code, f"0{nibbles}x")
 
     def member(self) -> ComparisonGraph:
         """The canonical member graph (the one realizing the code)."""

@@ -8,12 +8,11 @@ tables share one grouping.
 
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 
 from .errors import MissingSlice
 from .fileio import ResultRow
-from .graphs import properties
+from .graphs import format_label, parse_label, properties
 from .simulation import HIGHER_IS_BETTER, MEASURE_NAMES
 
 
@@ -73,7 +72,7 @@ def best_by_edges(rows: list[ResultRow]):
         best, worst = ordered[0], ordered[-1]
         table.append(
             (n, perturb, model, edges, measure,
-             f"g{best.graph_id}", best.mean, f"g{worst.graph_id}", worst.mean)
+             format_label(best.graph_id), best.mean, format_label(worst.graph_id), worst.mean)
         )
     return header, table
 
@@ -90,10 +89,9 @@ def spanning_trees(rows: list[ResultRow]):
         raise MissingSlice("results contain no spanning-tree structures")
     header = ("n", "perturb", "model", "graph_id", "is_star", "measure", "mean", "stddev")
     table = [
-        (n, r.perturb, model, f"g{r.graph_id}", _is_star_row(r), r.measure, r.mean, r.stddev)
-        for r in sorted(
-            trees, key=lambda r: (r.perturb, r.graph_id, _measure_key(r.measure))
-        )
+        (n, r.perturb, model, format_label(r.graph_id), _is_star_row(r), r.measure, r.mean,
+         r.stddev)
+        for r in sorted(trees, key=lambda r: (r.perturb, r.graph_id, _measure_key(r.measure)))
     ]
     return header, table
 
@@ -112,16 +110,13 @@ def perturb_sweep(rows: list[ResultRow], graph_label: str | None = None):
             raise MissingSlice("results contain no star spanning tree to sweep")
         graph_id = stars[0]
     else:
-        label = graph_label.strip()
-        if not re.fullmatch("g[0-9]+", label):
-            raise ValueError(f"graph label must look like g12, got {graph_label!r}")
-        graph_id = int(label[1:])
+        graph_id = parse_label(graph_label)
     mine = [r for r in rows if r.graph_id == graph_id]
     if not mine:
-        raise MissingSlice(f"results contain no rows for structure g{graph_id}")
+        raise MissingSlice(f"results contain no rows for structure {format_label(graph_id)}")
     header = ("n", "model", "graph_id", "perturb", "measure", "mean", "stddev")
     table = [
-        (n, model, f"g{graph_id}", r.perturb, r.measure, r.mean, r.stddev)
+        (n, model, format_label(graph_id), r.perturb, r.measure, r.mean, r.stddev)
         for r in sorted(mine, key=lambda r: (r.perturb, _measure_key(r.measure)))
     ]
     return header, table

@@ -22,8 +22,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Mapping
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from scipy.special import ndtri
@@ -169,18 +170,18 @@ def perturb_data(
     if level == 0.0:
         return data
     _check_reachable(exact, level, epsilon)
-    perturbed = _redraw(exact.tolist(), level, epsilon, rng)
+    perturbed = _redraw(exact.tolist(), epsilon, iter(partial(rng.uniform, -level, level), None))
     return DataMatrix(data.n, {pair: (d1, 1.0 - d1) for pair, d1 in zip(pairs, perturbed)})
 
 
-def _redraw(exact, level: float, epsilon: float, rng: np.random.Generator) -> list[float]:
-    """Each value of ``exact`` in turn plus a uniform draw from
-    [-level, level], redrawn until the sum lies in (epsilon, 1 - epsilon)."""
+def _redraw(exact, epsilon: float, offsets: Iterator[float]) -> list[float]:
+    """Each value of ``exact`` in turn plus the next of the endless
+    ``offsets``, taking more until the sum lies in (epsilon, 1 - epsilon)."""
     perturbed = []
     for d1 in exact:
-        candidate = d1 + rng.uniform(-level, level)
+        candidate = d1 + next(offsets)
         while not epsilon < candidate < 1.0 - epsilon:
-            candidate = d1 + rng.uniform(-level, level)
+            candidate = d1 + next(offsets)
         perturbed.append(candidate)
     return perturbed
 
@@ -279,14 +280,14 @@ def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     if not level:
         return exact
     _check_reachable(exact, level, epsilon)  # F(ln 9) in the config can round low
-    d1 = exact + np.array([rng.uniform(-level, level, size=len(ii)) for rng in rngs])
-    # Replay a row with a rejected draw on the scalar path from just after its
-    # n integers: a stream gives the same values one at a time as in a block,
-    # so the accepted pairs come back unchanged.
+    offsets = np.array([rng.uniform(-level, level, size=len(ii)) for rng in rngs])
+    d1 = exact + offsets
+    # Replay a row with a rejected draw on the scalar path, its block of offsets
+    # first and then fresh draws from its own generator: a stream gives the same
+    # values one at a time as in a block, so accepted pairs come back unchanged.
     for row in np.flatnonzero(np.any((d1 <= epsilon) | (d1 >= 1.0 - epsilon), axis=1)):
-        rng = np.random.default_rng([config.seed, start + row])
-        rng.integers(1, 10, size=n)
-        d1[row] = _redraw(exact[row], level, epsilon, rng)
+        fresh = iter(partial(rngs[row].uniform, -level, level), None)
+        d1[row] = _redraw(exact[row], epsilon, chain(offsets[row], fresh))
     return d1
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -198,6 +199,18 @@ class TestConsistency:
         )
         assert payload["consistent"] is True
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("command", [["consistency"], ["rank", "--json"]])
+    def test_bad_tolerance_exits_one(self, capsys, tmp_path, command, tol):
+        tree = tmp_path / "tree.csv"
+        tree.write_text("i,j,worse,better\n1,2,0.3,0.7\n2,3,0.6,0.4\n", encoding="utf-8")
+        assert main([command[0], "--input", str(tree), "--tol", tol, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"paircomp: cycle tolerance must be nonnegative, got {float(tol)}\n"
+        )
+
     def test_disconnected_input_reports_undefined(self, capsys, tmp_path):
         source = tmp_path / "split.csv"
         source.write_text("i,j,worse,better\n1,2,1,1\n3,4,1,1\n", encoding="utf-8")
@@ -363,3 +376,442 @@ class TestSimulateAndReport:
         assert main([*argv, "--out", "-"]) == 0
         assert capsys.readouterr().out == target.read_text(encoding="utf-8")
         assert not (tmp_path / "-").exists()
+
+
+# ---------------------------------------------------------------------------
+# Byte pins: the JSON and text formats the commands write
+
+
+#: Input files of the byte pins below, by name.
+PINNED_INPUTS = {
+    "tri.csv": "i,j,worse,better\n1,2,0.562,0.438\n1,3,0.679,0.321\n2,3,0.622,0.378\n",
+    "tri.pcm": "1,2,4\n0.5,1,3\n0.25,0.33333333333333331,1\n",
+    "split.csv": "i,j,worse,better\n1,2,1,1\n3,4,1,1\n",
+    "split.pcm": "1,2,*,*\n0.5,1,*,*\n*,*,1,3\n*,*,0.33333333333333331,1\n",
+}
+
+#: argv -> (exit code, stdout, stderr), byte for byte.
+PINNED_OUTPUTS = {
+    "consistency --input tri.csv": (
+        0,
+        """\
+connected: true
+ford_condition: true
+consistency: inconsistent (max cycle deviation 0.00185117)
+witness: 1-2-3
+""",
+        "",
+    ),
+    "consistency --input tri.csv --json": (
+        0,
+        """\
+{
+  "connected": true,
+  "ford_condition": true,
+  "consistent": false,
+  "max_cycle_deviation": 0.0018511677918435776,
+  "witness": [
+    1,
+    2,
+    3
+  ]
+}
+""",
+        "",
+    ),
+    "rank --input tri.csv --json": (
+        0,
+        """\
+{
+  "method": "bt",
+  "m": [
+    0.0,
+    0.2498657660118929,
+    0.7485218799400954
+  ],
+  "log_likelihood": -1.976136957581186,
+  "iterations": 3,
+  "n": 3,
+  "weights": [
+    0.22739023550057924,
+    0.29193565157229634,
+    0.48067411292712425
+  ],
+  "ranks": [
+    3.0,
+    2.0,
+    1.0
+  ],
+  "connected": true,
+  "ford_condition": true,
+  "consistent": false,
+  "max_cycle_deviation": 0.0018511677918435776,
+  "witness": [
+    1,
+    2,
+    3
+  ]
+}
+""",
+        "",
+    ),
+    "consistency --input tri.pcm --format pcm": (
+        0,
+        """\
+connected: true
+consistency: inconsistent (max cycle deviation 0.405465)
+witness: 1-2-3
+""",
+        "",
+    ),
+    "consistency --input tri.pcm --format pcm --json": (
+        0,
+        """\
+{
+  "connected": true,
+  "consistent": false,
+  "max_cycle_deviation": 0.4054651081081645,
+  "witness": [
+    1,
+    2,
+    3
+  ]
+}
+""",
+        "",
+    ),
+    "rank --input tri.pcm --format pcm --method llsm --json": (
+        0,
+        """\
+{
+  "method": "llsm",
+  "n": 3,
+  "weights": [
+    0.5584245430947973,
+    0.31961826393597564,
+    0.12195719296922711
+  ],
+  "ranks": [
+    1.0,
+    2.0,
+    3.0
+  ],
+  "connected": true,
+  "consistent": false,
+  "max_cycle_deviation": 0.4054651081081645,
+  "witness": [
+    1,
+    2,
+    3
+  ]
+}
+""",
+        "",
+    ),
+    "consistency --input split.csv": (
+        0,
+        """\
+connected: false
+ford_condition: false
+consistency: undefined (graph not connected)
+""",
+        "",
+    ),
+    "consistency --input split.csv --json": (
+        0,
+        """\
+{
+  "connected": false,
+  "ford_condition": false,
+  "consistent": null
+}
+""",
+        "",
+    ),
+    "rank --input split.csv --method llsm --json": (
+        2,
+        "",
+        """\
+paircomp: logarithmic least squares needs a connected graph
+""",
+    ),
+    "consistency --input split.pcm --format pcm": (
+        0,
+        """\
+connected: false
+consistency: undefined (graph not connected)
+""",
+        "",
+    ),
+    "consistency --input split.pcm --format pcm --json": (
+        0,
+        """\
+{
+  "connected": false,
+  "consistent": null
+}
+""",
+        "",
+    ),
+}
+
+#: SHA-256 of `graphs enumerate --n N` for the catalog sizes not pinned verbatim.
+CATALOG_SHA256 = {
+    2: "47c14d7f378634f26baefa2928b7d06183f9edd34b38a94cf06ce90f6252e655",
+    3: "f43647bfc6619f591c0bf1fde442a69ff1329a119d6c1011ba5b9969b49eda81",
+    5: "b1f50a4ed2a7f01d1a571f058f24c7c0d702844cb78b53dba6aa267cb035b60a",
+    6: "9f8ee74f2e8e5a6b3087df8a36147e3144b36f723921ed697a8fc20223622cf0",
+}
+
+#: `graphs enumerate --n 4`, verbatim.
+CATALOG_N4 = """\
+[
+  {
+    "id": "g1",
+    "n": 4,
+    "edge_count": 3,
+    "canonical_code": "0b",
+    "edges": [
+      [
+        1,
+        4
+      ],
+      [
+        2,
+        4
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "properties": {
+      "degree_sequence": [
+        3,
+        1,
+        1,
+        1
+      ],
+      "is_regular": false,
+      "is_bipartite": true,
+      "is_star": true,
+      "is_spanning_tree": true,
+      "diameter": 2
+    }
+  },
+  {
+    "id": "g2",
+    "n": 4,
+    "edge_count": 3,
+    "canonical_code": "0d",
+    "edges": [
+      [
+        1,
+        4
+      ],
+      [
+        2,
+        3
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "properties": {
+      "degree_sequence": [
+        2,
+        2,
+        1,
+        1
+      ],
+      "is_regular": false,
+      "is_bipartite": true,
+      "is_star": false,
+      "is_spanning_tree": true,
+      "diameter": 3
+    }
+  },
+  {
+    "id": "g3",
+    "n": 4,
+    "edge_count": 4,
+    "canonical_code": "0f",
+    "edges": [
+      [
+        1,
+        4
+      ],
+      [
+        2,
+        3
+      ],
+      [
+        2,
+        4
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "properties": {
+      "degree_sequence": [
+        3,
+        2,
+        2,
+        1
+      ],
+      "is_regular": false,
+      "is_bipartite": false,
+      "is_star": false,
+      "is_spanning_tree": false,
+      "diameter": 2
+    }
+  },
+  {
+    "id": "g4",
+    "n": 4,
+    "edge_count": 4,
+    "canonical_code": "1e",
+    "edges": [
+      [
+        1,
+        3
+      ],
+      [
+        1,
+        4
+      ],
+      [
+        2,
+        3
+      ],
+      [
+        2,
+        4
+      ]
+    ],
+    "properties": {
+      "degree_sequence": [
+        2,
+        2,
+        2,
+        2
+      ],
+      "is_regular": true,
+      "is_bipartite": true,
+      "is_star": false,
+      "is_spanning_tree": false,
+      "diameter": 2
+    }
+  },
+  {
+    "id": "g5",
+    "n": 4,
+    "edge_count": 5,
+    "canonical_code": "1f",
+    "edges": [
+      [
+        1,
+        3
+      ],
+      [
+        1,
+        4
+      ],
+      [
+        2,
+        3
+      ],
+      [
+        2,
+        4
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "properties": {
+      "degree_sequence": [
+        3,
+        3,
+        2,
+        2
+      ],
+      "is_regular": false,
+      "is_bipartite": false,
+      "is_star": false,
+      "is_spanning_tree": false,
+      "diameter": 2
+    }
+  },
+  {
+    "id": "g6",
+    "n": 4,
+    "edge_count": 6,
+    "canonical_code": "3f",
+    "edges": [
+      [
+        1,
+        2
+      ],
+      [
+        1,
+        3
+      ],
+      [
+        1,
+        4
+      ],
+      [
+        2,
+        3
+      ],
+      [
+        2,
+        4
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "properties": {
+      "degree_sequence": [
+        3,
+        3,
+        3,
+        3
+      ],
+      "is_regular": true,
+      "is_bipartite": false,
+      "is_star": false,
+      "is_spanning_tree": false,
+      "diameter": 1
+    }
+  }
+]
+"""
+
+
+class TestOutputBytes:
+    def test_catalog_n4_is_pinned_verbatim(self, capsys):
+        assert main(["graphs", "enumerate", "--n", "4"]) == 0
+        assert capsys.readouterr().out == CATALOG_N4
+
+    @pytest.mark.parametrize("n", sorted(CATALOG_SHA256))
+    def test_catalog_digest_is_pinned(self, capsys, n):
+        assert main(["graphs", "enumerate", "--n", str(n)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == CATALOG_SHA256[n]
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS))
+    def test_consistency_and_rank_bytes_are_pinned(self, capsys, monkeypatch, tmp_path, argv):
+        for name, text in PINNED_INPUTS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == PINNED_OUTPUTS[argv]

@@ -171,6 +171,20 @@ class TestConsistency:
         assert not pcm_consistency(ratios_modified).consistent
         assert not pcm_consistency(ratios_incomplete).consistent
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    def test_tolerance_must_be_nonnegative(self, probs_modified, tol):
+        # A negative or NaN tolerance fails every check, even a tree's with
+        # no cycle at all, so no witness could back the verdict.
+        tree = probs_modified.restrict(ComparisonGraph(4, [(0, 1), (0, 2), (0, 3)]))
+        for data in (tree, probs_modified):
+            with pytest.raises(ValueError, match="^cycle tolerance must be nonnegative"):
+                data_consistency(data, tol)
+            with pytest.raises(ValueError, match="^cycle tolerance must be nonnegative"):
+                pcm_consistency(pcm_from_data(data), tol)
+
+    def test_zero_tolerance_is_allowed(self, sports_counts):
+        assert data_consistency(sports_counts, 0.0).consistent
+
     def test_disconnected_graph_raises(self):
         data = DataMatrix(4, {(0, 1): (1.0, 1.0), (2, 3): (1.0, 1.0)})
         with pytest.raises(DisconnectedGraph):

@@ -223,6 +223,20 @@ class TestResultsTable:
         with pytest.raises(BadHeader):
             read_results(io.StringIO("a,b\n1,2\n"))
 
+    @pytest.mark.parametrize("code", ["zz", "-1", "ff", "1ff", "0f", ""])
+    def test_canonical_code_must_match_n_and_edges(self, summary, code):
+        # Row 3 is the n = 4 star (code 0b, three edges); ff would read as K4
+        # and 0f has four edges.
+        buffer = io.StringIO()
+        write_results(summary, buffer)
+        lines = buffer.getvalue().splitlines()
+        cells = lines[2].split(",")
+        assert (cells[0], cells[4], cells[5]) == ("4", "3", "0b")
+        cells[5] = code
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError, match=f"^row 3: canonical_code {code!r} is not a code"):
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+
     @pytest.mark.parametrize("column", ["n", "edges", "num_sims", "excluded"])
     def test_malformed_integer_cell_names_the_row(self, summary, column):
         buffer = io.StringIO()
@@ -309,6 +323,32 @@ class TestResultsBytes:
 
     def test_json_bytes_are_pinned(self):
         assert results_json(_fixed_summary()) == FIXED_JSON
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            ("n", "4.5x", "row 3: cannot parse '4.5x' as an integer"),
+            ("perturb", " x ", "row 3: cannot parse 'x' as a number"),
+            ("perturb", "nan", "row 3: NaN is not a valid value"),
+            ("graph_id", " h2", "row 3: graph_id must look like g12, got 'h2'"),
+            ("measure", "mad", "row 3: unknown measure 'mad'"),
+            ("mean", "0.2.5", "row 3: cannot parse '0.2.5' as a number"),
+            (None, "extra", "row 3: expected 11 fields"),
+        ],
+        ids=["integer", "float", "float-nan", "label", "measure", "statistic", "width"],
+    )
+    def test_malformed_cell_message_is_pinned(self, column, cell, message):
+        lines = FIXED_CSV.splitlines()
+        header = lines[0].split(",")
+        cells = lines[2].split(",")
+        if column is None:
+            cells.append(cell)
+        else:
+            cells[header.index(column)] = cell
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError) as raised:
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(

@@ -202,6 +202,18 @@ class TestChunkDraw:
         rejected = (block <= config.epsilon) | (block >= 1.0 - config.epsilon)
         assert rejected.any(axis=1).sum() >= 10
 
+    def test_draw_builds_one_generator_per_replication(self, monkeypatch):
+        # At level 0.6 most rows reject a block draw; their replay continues
+        # on the row's own generator instead of building a second one.
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: built.append(seed) or default_rng(seed)
+        )
+        config = SimulationConfig(n=5, perturb=0.6, num_sims=24, seed=13)
+        _draw_rows(config, 0, 24)
+        assert built == [[13, r] for r in range(24)]
+
     def test_draw_refuses_a_window_missed_by_rounding(self):
         # Level 0.1 with epsilon 0.1998 leaves the config's F(ln 9), rounded to
         # 0.8999999999999999, an accepted share just above the floor; a drawn
