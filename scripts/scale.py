@@ -1,0 +1,142 @@
+"""Scale run of the simulate experiment: wall time per replication, peak
+memory and Newton iterations for n = 4, 5 and 6 under both models.
+
+    python3 scripts/scale.py                # 10^5 replications per configuration
+    python3 scripts/scale.py --sims 1000000 # the paper's scale
+
+Each configuration runs ``paircomp.run`` in a fresh process on one worker
+(PAIRCOMP_THREADS=1), so the chunking follows from the replication count
+alone, at perturbation 0.15 and seed 1.  Peak memory is that process's
+maximum resident set size.  A second fresh process makes a fifth of the
+replications, so the file shows whether peak memory grows with the
+replication count.  Iterations are the Newton steps of every
+(replication, structure) row, complete structure included.  The result is
+written as JSON to BENCH_scale.json at the repository root.
+
+Not part of the test suite: the default run takes about ten minutes on one
+core.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = [(n, model) for n in (4, 5, 6) for model in ("logistic", "normal")]
+PERTURB, SEED = 0.15, 1
+
+
+def measure(n: int, model: str, sims: int) -> dict:
+    """One configuration, in this process: time the run and count the
+    iterations of every batch solve it makes."""
+    import numpy as np
+
+    from paircomp import ModelKind, SimulationConfig, run
+    from paircomp import simulation
+
+    counts = np.zeros(1, dtype=np.int64)
+    solve = simulation._newton_rows
+
+    def counted(*args):
+        nonlocal counts
+        m, iterations, converged = solve(*args)
+        tally = np.bincount(iterations)
+        counts = np.pad(counts, (0, max(0, len(tally) - len(counts))))
+        counts[: len(tally)] += tally
+        return m, iterations, converged
+
+    simulation._newton_rows = counted
+    config = SimulationConfig(n=n, perturb=PERTURB, num_sims=sims, seed=SEED,
+                              model=ModelKind(model))
+    start = time.perf_counter()
+    summary = run(config)
+    wall = time.perf_counter() - start
+    cumulative = np.cumsum(counts)
+    return {
+        "n": n,
+        "model": model,
+        "sims": sims,
+        "wall_s": round(wall, 3),
+        "ms_per_rep": round(1e3 * wall / sims, 4),
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "excluded_reps": len({rep for rep, _ in summary.failures}),
+        "iterations": {
+            "rows": int(cumulative[-1]),
+            "p50": int(np.searchsorted(cumulative, 0.5 * cumulative[-1])),
+            "max": int(np.flatnonzero(counts)[-1]),
+        },
+    }
+
+
+def cpu_name() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.machine()
+
+
+def fresh_process(n: int, model: str, sims: int) -> dict:
+    env = dict(os.environ, PAIRCOMP_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, __file__, "--child", str(n), model, str(sims)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sims", type=int, default=100_000)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
+    parser.add_argument("--child", nargs=3, metavar=("N", "MODEL", "SIMS"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        n, model, sims = args.child
+        print(json.dumps(measure(int(n), model, int(sims))))
+        return 0
+    if args.sims < 5:
+        parser.error("--sims must be at least 5")
+
+    import numpy
+    import scipy
+
+    runs = []
+    for n, model in CONFIGS:
+        record = fresh_process(n, model, args.sims)
+        probe = fresh_process(n, model, args.sims // 5)
+        record["fifth"] = {key: probe[key] for key in ("sims", "ms_per_rep", "peak_rss_mib")}
+        runs.append(record)
+        print(f"n={n} {model}: {record['ms_per_rep']} ms/rep, peak {record['peak_rss_mib']} MiB "
+              f"({probe['peak_rss_mib']} MiB at {probe['sims']}), iterations p50 "
+              f"{record['iterations']['p50']} max {record['iterations']['max']}", file=sys.stderr)
+    payload = {
+        "command": f"python3 scripts/scale.py --sims {args.sims}",
+        "settings": {"perturb": PERTURB, "seed": SEED, "workers": 1},
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "cpu": cpu_name(),
+            "nproc": os.cpu_count(),
+        },
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

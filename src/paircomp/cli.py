@@ -13,6 +13,7 @@ from . import fileio, report
 from .core import (
     DEFAULT_CYCLE_TOL,
     ModelKind,
+    check_cycle_tolerance,
     data_consistency,
     ford_condition,
     pcm_consistency,
@@ -55,7 +56,9 @@ def _load_input(args):
 
 def _consistency_payload(data, pcm, tol):
     """Verdict and diagnostics for whichever representation was supplied;
-    only pair data has a Ford condition."""
+    only pair data has a Ford condition.  The tolerance is checked even
+    where no cycle check runs."""
+    check_cycle_tolerance(tol)
     graph = data.comparison_graph() if data is not None else pcm.representing_graph()
     payload = {"connected": graph.is_connected()}
     if data is not None:

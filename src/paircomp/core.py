@@ -392,6 +392,13 @@ def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
     return tuple(rotated)
 
 
+def check_cycle_tolerance(tol: float) -> None:
+    """Raise ValueError unless tol >= 0 (NaN included): a failed cycle
+    check must be able to name a witness cycle."""
+    if not tol >= 0.0:
+        raise ValueError(f"cycle tolerance must be nonnegative, got {tol}")
+
+
 def _cycle_check(
     graph: ComparisonGraph, log_ratio: Mapping[tuple[int, int], float], tol: float
 ) -> ConsistencyReport:
@@ -405,8 +412,7 @@ def _cycle_check(
     ``log_ratio[(i, j)]`` (i < j) is ln of the ratio oriented from i to j; the
     reverse orientation contributes the negative.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"cycle tolerance must be nonnegative, got {tol}")
+    check_cycle_tolerance(tol)
     parent = _breadth_first(graph.adjacency())
     if len(parent) != graph.n:
         raise DisconnectedGraph(

@@ -9,11 +9,11 @@
 
 Solver choices: LLSM, the likelihoods' least-squares start and every Newton
 step solve the same system, a weighted graph Laplacian grounded at m_1 = 0,
-through one batched routine.  Both likelihoods are concave and maximized by
-one batched damped Newton solver, whose Hessian is the Laplacian weighted by
-the curvature of ln F on each pair; it converges when the full Newton step
-is below the tolerance, which bounds the error because convergence is
-quadratic near the optimum.  It starts from the least-squares solution of
+assembled by one batched scatter plan.  Both likelihoods are concave and
+maximized by one batched damped Newton solver, whose Hessian is the
+Laplacian weighted by the curvature of ln F on each pair; it converges when
+the full Newton step is below the tolerance, which bounds the error because
+convergence is quadratic near the optimum.  It starts from the least-squares solution of
 F^-1(d2 / (d1 + d2)) = m_i - m_j, a unit-weight solve: on consistent data
 every equation holds exactly, and the paper shows the least-squares and
 likelihood optima then coincide, so the start is the MLE; under noise it is
@@ -87,10 +87,10 @@ def _pair_data(data: DataMatrix):
     return ii, jj, d1, d2
 
 
-def _loglik_rows(m, ii, jj, d1, d2, model: ModelKind):
-    """Row-wise log-likelihood for m of shape (N, n) and data of shape (N, k)."""
-    delta = m[:, ii] - m[:, jj]
-    return np.sum(d1 * model.log_cdf(-delta) + d2 * model.log_cdf(delta), axis=1)
+def _loglik_rows(delta, d1, d2, model: ModelKind):
+    """Row-wise log-likelihood from the pair differences delta = m_i - m_j
+    and data, all of shape (N, k)."""
+    return (d1 * model.log_cdf(-delta) + d2 * model.log_cdf(delta)).sum(axis=1)
 
 
 def log_likelihood(data: DataMatrix, m: ExpectedValueVector, model: ModelKind) -> float:
@@ -99,15 +99,11 @@ def log_likelihood(data: DataMatrix, m: ExpectedValueVector, model: ModelKind) -
     if len(m) != data.n:
         raise ValueError("expected value vector does not match item count")
     ii, jj, d1, d2 = _pair_data(data)
-    return float(_loglik_rows(m.values[None, :], ii, jj, d1[None, :], d2[None, :], model)[0])
+    delta = m.values[ii] - m.values[jj]
+    return float(_loglik_rows(delta[None, :], d1[None, :], d2[None, :], model)[0])
 
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _mills(x):
-    """phi(x) / Phi(x), stable for very negative x."""
-    return np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_ndtr(x))
 
 
 def _pair_derivatives(delta, d1, d2, model: ModelKind):
@@ -117,35 +113,68 @@ def _pair_derivatives(delta, d1, d2, model: ModelKind):
     positive, so the reduced Laplacian they weight is definite on connected graphs."""
     if model is ModelKind.LOGISTIC:
         s_pos, s_neg = model.cdf(-delta), model.cdf(delta)
-        curvature = (d1 + d2) * s_pos * s_neg
-    else:
-        s_pos, s_neg = _mills(delta), _mills(-delta)
-        curvature = d2 * s_pos * (delta + s_pos) + d1 * s_neg * (s_neg - delta)
-    return d2 * s_pos - d1 * s_neg, curvature
+        return d2 * s_pos - d1 * s_neg, (d1 + d2) * s_pos * s_neg
+    # Mills ratios phi(x) / Phi(x) at x = +-delta, stable for very negative x;
+    # ln phi is the same at both.
+    log_phi = -0.5 * delta * delta - _LOG_SQRT_2PI
+    s_pos, s_neg = np.exp(log_phi - log_ndtr(delta)), np.exp(log_phi - log_ndtr(-delta))
+    up, down = d2 * s_pos, d1 * s_neg
+    return up - down, up * (delta + s_pos) + down * (s_neg - delta)
 
 
-def _incidence_sums(at_i, at_j, ii, jj, n):
-    """Row-wise vertex sums over the pairs (ii[s], jj[s]): at_i[:, s] goes to
-    vertex ii[s] and at_j[:, s] to jj[s]; shape (rows, n).  Each vertex adds
-    its terms in lexicographic pair order, whatever the number of rows."""
-    rows = at_i.shape[0]
-    bins = (np.arange(rows)[:, None] * n + np.concatenate([jj, ii])).ravel()
-    values = np.concatenate([at_j, at_i], axis=1).ravel()
-    return np.bincount(bins, values, rows * n).reshape(rows, n)
+class _Incidence:
+    """Scatter plan of the pairs (ii[s], jj[s]) of n vertices for up to
+    ``rows`` rows of per-pair values, in the m_1 = 0 gauge x = m[:, 1:].
 
+    Bins are laid out row by row, so fewer rows use a prefix of them.  Each
+    vertex adds its terms in lexicographic pair order, whatever the number
+    of rows.
+    """
 
-def _grounded_solve(weights, rhs, ii, jj, n):
-    """Solve L x = rhs, one system per row of rhs (rows, n), in the x_1 = 0
-    gauge: L is the graph Laplacian weighting pair (ii[s], jj[s]) by
-    weights[:, s], and its first equation, implied by the rest, is dropped."""
-    lap = np.zeros((weights.shape[0], n, n))
-    lap[:, ii, jj] = -weights
-    lap[:, jj, ii] = -weights
-    diagonal = np.arange(n)
-    lap[:, diagonal, diagonal] = _incidence_sums(weights, weights, ii, jj, n)
-    x = np.zeros_like(rhs)
-    x[:, 1:] = np.linalg.solve(lap[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
-    return x
+    def __init__(self, ii, jj, n, rows):
+        self.ii, self.jj, self.n = ii, jj, n
+        row = np.arange(rows)[:, None]
+        self._vertex_bins = (row * n + np.concatenate([jj, ii])).ravel()
+        # Laplacian cell (a, b) of a row sits at a n + b of its n * n bins;
+        # the grounded row and column of vertex 1 are left out after the sum.
+        a, b = np.concatenate([jj, ii, ii, jj]), np.concatenate([jj, ii, jj, ii])
+        self._laplacian_bins = (row * (n * n) + a * n + b).ravel()
+        # x @ P gives the differences: column s of P holds +1 at ii[s] and -1
+        # at jj[s] (none at vertex 1), so each sum has at most two nonzero
+        # terms and is exact in any order.  P has (n - 1) k entries, so a batch
+        # with fewer rows than n - 1 (one fit of a large league) gathers instead.
+        self._difference_map = None
+        if n - 1 <= rows:
+            signs = np.zeros((n, len(ii)))
+            columns = np.arange(len(ii))
+            signs[ii, columns] = 1.0
+            signs[jj, columns] = -1.0
+            self._difference_map = signs[1:]
+
+    def differences(self, x):
+        """m_i - m_j of every pair, one row per row of x = m[:, 1:]."""
+        if self._difference_map is not None:
+            return x @ self._difference_map
+        m = np.concatenate([np.zeros((len(x), 1)), x], axis=1)
+        return m[:, self.ii] - m[:, self.jj]
+
+    def vertex_sums(self, values):
+        """Row-wise vertex sums, shape (rows, n): values[:, s] goes to vertex
+        ii[s] and its negation to jj[s]."""
+        rows = len(values)
+        terms = np.concatenate([-values, values], axis=1).ravel()
+        sums = np.bincount(self._vertex_bins[: terms.size], terms, rows * self.n)
+        return sums.reshape(rows, self.n)
+
+    def solve(self, weights, rhs):
+        """Solve L x = rhs, one system per row of rhs (rows, n - 1): L is the
+        graph Laplacian weighting pair s by weights[:, s], with the row and
+        column of vertex 1 (grounded at x_1 = 0) left out."""
+        rows, n = len(weights), self.n
+        negated = -weights
+        values = np.concatenate([weights, weights, negated, negated], axis=1).ravel()
+        laplacian = np.bincount(self._laplacian_bins[: values.size], values, rows * n * n)
+        return np.linalg.solve(laplacian.reshape(rows, n, n)[:, 1:, 1:], rhs[..., None])[..., 0]
 
 
 def log_likelihood_gradient(
@@ -157,7 +186,7 @@ def log_likelihood_gradient(
         raise ValueError("expected value vector does not match item count")
     ii, jj, d1, d2 = _pair_data(data)
     g_pair = _pair_derivatives(m.values[ii] - m.values[jj], d1, d2, model)[0]
-    return _incidence_sums(g_pair[None, :], -g_pair[None, :], ii, jj, data.n)[0]
+    return _Incidence(ii, jj, data.n, 1).vertex_sums(g_pair[None, :])[0]
 
 
 def weights_from_m(m: ExpectedValueVector) -> WeightVector:
@@ -192,19 +221,27 @@ def mm_step(data: DataMatrix, pi: np.ndarray) -> np.ndarray:
     return new / new[0]
 
 
-def _least_squares_start(d1, d2, ii, jj, n, model: ModelKind):
+def _least_squares_start(d1, d2, ii, jj, n, model: ModelKind, plan=None):
     """Least-squares solution of F^-1(d2 / (d1 + d2)) = m_i - m_j over each
     row's pairs with both amounts positive, in the m_1 = 0 gauge, shape
     (rows, n).  A row with a one-sided pair (one amount zero) or a link
-    that is not finite keeps m = 0.
+    that is not finite keeps m = 0.  ``plan`` is the :class:`_Incidence`
+    of the pairs for at least ``rows`` rows.
     """
-    m = np.zeros((d1.shape[0], n))
-    both = (d1 > 0) & (d2 > 0)
+    if plan is None:
+        plan = _Incidence(ii, jj, n, len(d1))
+    m = np.zeros((len(d1), n))
+    won, lost = d1 > 0, d2 > 0
+    both = won & lost
     # Pairs without two-sided data get share 1/2, whose link is exactly 0.
     link = model.inverse_cdf(np.divide(d2, d1 + d2, out=np.full_like(d2, 0.5), where=both))
-    fitted = np.flatnonzero(~np.any(((d1 > 0) != (d2 > 0)) | ~np.isfinite(link), axis=1))
-    rhs = _incidence_sums(link[fitted], -link[fitted], ii, jj, n)
-    m[fitted] = _grounded_solve(both[fitted].astype(float), rhs, ii, jj, n)
+    fitted = ~((won != lost) | ~np.isfinite(link)).any(axis=1)
+    if fitted.all():
+        fitted = slice(None)
+    else:
+        link, both = link[fitted], both[fitted]
+    rhs = plan.vertex_sums(link)[:, 1:]
+    m[fitted, 1:] = plan.solve(both.astype(float), rhs)
     return m
 
 
@@ -221,39 +258,54 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     step is below ``tol``; every row's trajectory is therefore identical to
     a run of that row alone.  Returns (m rows, iterations per row, converged
     mask).
+
+    The iteration runs on x = m[:, 1:].  Rows still iterating are kept as a
+    prefix of the working arrays, which are compacted only when a row stops.
     """
     rows = d1.shape[0]
-    m = _least_squares_start(d1, d2, ii, jj, n, model)
-    current = _loglik_rows(m, ii, jj, d1, d2, model)
+    plan = _Incidence(ii, jj, n, rows)
+    m = _least_squares_start(d1, d2, ii, jj, n, model, plan)
+    x = m[:, 1:]
+    current = _loglik_rows(plan.differences(x), d1, d2, model)
     iterations = np.zeros(rows, dtype=np.intp)
     active = np.arange(rows)
+    threshold = len(ii) * np.finfo(float).eps
     for step in range(1, max_iter + 1):
-        ma, a1, a2 = m[active], d1[active], d2[active]
-        g_pair, h_pair = _pair_derivatives(ma[:, ii] - ma[:, jj], a1, a2, model)
-        grad = _incidence_sums(g_pair, -g_pair, ii, jj, n)
-        direction = _grounded_solve(h_pair, grad, ii, jj, n)
-        iterations[active] = step
+        g_pair, h_pair = _pair_derivatives(plan.differences(x), d1, d2, model)
+        grad = plan.vertex_sums(g_pair)[:, 1:]
+        direction = plan.solve(h_pair, grad)
         # Take the full step where the ascent it promises (half the Newton
         # decrement) is below the rounding of the log-likelihood: there a
         # line search compares noise.  Elsewhere halve until it ascends.
-        gain = 0.5 * np.sum(grad * direction, axis=1)
-        scale = np.ones(len(active))
-        search = np.flatnonzero(gain > len(ii) * np.finfo(float).eps * np.abs(current[active]))
-        for _ in range(60):
-            if search.size == 0:
-                break
-            value = _loglik_rows(
-                ma[search] + scale[search, None] * direction[search],
-                ii, jj, a1[search], a2[search], model,
-            )
-            ascended = value >= current[active[search]]
-            current[active[search[ascended]]] = value[ascended]
-            search = search[~ascended]
-            scale[search] *= 0.5
-        m[active] = ma + scale[:, None] * direction
-        active = active[~(np.max(np.abs(direction), axis=1) < tol)]
+        # The decrement is summed with m_1's zero term in front, so a row of
+        # any length adds in the same order as over all of m.
+        terms = np.zeros((len(x), n))
+        np.multiply(grad, direction, out=terms[:, 1:])
+        search = np.flatnonzero(0.5 * terms.sum(axis=1) > threshold * np.abs(current))
+        if search.size == 0:
+            x = x + direction
+        else:
+            scale = np.ones(len(x))
+            for _ in range(60):
+                trial = x[search] + scale[search, None] * direction[search]
+                value = _loglik_rows(plan.differences(trial), d1[search], d2[search], model)
+                ascended = value >= current[search]
+                current[search[ascended]] = value[ascended]
+                search = search[~ascended]
+                if search.size == 0:
+                    break
+                scale[search] *= 0.5
+            x = x + scale[:, None] * direction
+        done = np.abs(direction).max(axis=1) < tol
+        if done.any():
+            m[active[done], 1:] = x[done]
+            iterations[active[done]] = step
+            going = ~done
+            active, x, d1, d2, current = active[going], x[going], d1[going], d2[going], current[going]
         if active.size == 0:
             break
+    m[active, 1:] = x
+    iterations[active] = max_iter
     converged = np.ones(rows, dtype=bool)
     converged[active] = False
     return m, iterations, converged
@@ -308,8 +360,9 @@ def llsm(pcm: IPCM) -> WeightVector:
     pairs = pcm.known_pairs()
     ii, jj = np.array(pairs, dtype=np.intp).T
     log_ratio = np.array([[math.log(pcm.entries[p]) for p in pairs]])
-    rhs = _incidence_sums(log_ratio, -log_ratio, ii, jj, n)
-    y = _grounded_solve(np.ones_like(log_ratio), rhs, ii, jj, n)[0]
+    plan = _Incidence(ii, jj, n, 1)
+    y = np.zeros(n)
+    y[1:] = plan.solve(np.ones_like(log_ratio), plan.vertex_sums(log_ratio)[:, 1:])[0]
     return WeightVector.normalized(np.exp(y - y.max()))
 
 

@@ -31,7 +31,14 @@ from .errors import (
     NotReciprocal,
     ParseError,
 )
-from .graphs import GraphClass, format_label, parse_label, properties
+from .graphs import (
+    MAX_CATALOG_N,
+    GraphClass,
+    enumerate_connected,
+    format_label,
+    parse_label,
+    properties,
+)
 from .simulation import MEASURE_NAMES, SimulationSummary
 
 PAIRS_HEADER = ("i", "j", "worse", "better")
@@ -269,10 +276,11 @@ def _result_cell(name: str, cell: str, where: str):
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from None
     if _RESULT_TYPES[name] is int:
-        try:
-            return int(cell)
-        except ValueError:
-            raise ParseError(f"{where}: cannot parse {cell!r} as an integer") from None
+        # ASCII digits only, as in a label: int() also takes signs, "4_0" and "٤".
+        digits = cell.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"{where}: cannot parse {cell!r} as an integer")
+        return int(digits)
     if _RESULT_TYPES[name] is float:
         # NaN is legitimate in a statistic: a cell whose every replication was excluded.
         return _parse_float(cell, where, nan_ok=name in ("mean", "stddev"))
@@ -297,6 +305,16 @@ def read_results(source: str | Path | TextIO) -> list[ResultRow]:
         if value < 0 or value.bit_length() > k or value.bit_count() != result.edges:
             raise ParseError(f"{where}: canonical_code {code!r} is not a code of a graph "
                              f"on {result.n} vertices with {result.edges} edges")
+        # ... and be the code of the catalog class that graph_id names.
+        catalog = enumerate_connected(result.n) if 2 <= result.n <= MAX_CATALOG_N else ()
+        label = format_label(result.graph_id)
+        if not 1 <= result.graph_id <= len(catalog):
+            raise ParseError(f"{where}: {label} is not in the catalog of connected graphs "
+                             f"on {result.n} vertices")
+        entry = catalog[result.graph_id - 1]
+        if value != entry.canonical_code:
+            raise ParseError(f"{where}: canonical_code {code!r} is not the code of {label} "
+                             f"({entry.code_hex})")
         parsed.append(result)
     return parsed
 

@@ -22,7 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from typing import Callable, Iterator, Mapping
 
@@ -291,10 +291,14 @@ def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     return d1
 
 
+@lru_cache(maxsize=None)
 def _structure_mask(n: int) -> np.ndarray:
-    """present[g, s]: bit k - 1 - s of class g's code, set iff g has pair s."""
+    """present[g, s]: bit k - 1 - s of class g's code, set iff g has pair s
+    (read-only, as it is shared)."""
     codes = np.array([cls.canonical_code for cls in enumerate_connected(n)])
-    return (codes[:, None] >> np.arange(n * (n - 1) // 2)[::-1]) & 1 == 1
+    present = (codes[:, None] >> np.arange(n * (n - 1) // 2)[::-1]) & 1 == 1
+    present.flags.writeable = False
+    return present
 
 
 def _solve_chunk(config: SimulationConfig, start: int, stop: int):
@@ -322,6 +326,8 @@ def _solve_chunk(config: SimulationConfig, start: int, stop: int):
     w = _softmax_rows(m)
     measures = _measure_rows(m[:, -1:], w[:, -1:], m, w)
 
+    if converged.all():
+        return measures, []
     # Complete-stage failures (graph id None) first, then each structure's.
     failed = np.roll(~converged.reshape(shape).T, 1, axis=0)
     ids = [None] + [cls.id for cls in classes[:-1]]
@@ -352,6 +358,60 @@ def _chunk_bounds(total: int, threads: int, classes: int) -> list[tuple[int, int
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
+# Distances are finite and nonnegative (weight vectors lie in the simplex, so
+# eu_w <= sqrt 2); correlations that exist lie in [-1, 1].  Columns of (low,
+# high) bounds and of "must be finite", in MEASURE_NAMES order.
+_DISTANCES = {"eu_m": (0.0, math.inf), "eu_w": (0.0, math.sqrt(2.0) + 1e-9)}
+_LOW, _HIGH = np.array(
+    [_DISTANCES.get(name, (-1.0 - 1e-9, 1.0 + 1e-9)) for name in MEASURE_NAMES]
+).T[:, :, None]
+_MUST_BE_FINITE = np.array([name in _DISTANCES for name in MEASURE_NAMES])[:, None]
+
+
+def _blocks(chunks: Iterator[tuple[np.ndarray, np.ndarray]], size: int):
+    """Re-cut a stream of (measures, included) chunks, in replication order,
+    into blocks of ``size`` replications; the last block may be shorter."""
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
+    held = 0
+    for chunk in chunks:
+        pending.append(chunk)
+        held += len(chunk[0])
+        while held >= size:
+            measures, included = (np.concatenate(part) for part in zip(*pending))
+            yield measures[:size], included[:size]
+            pending, held = [(measures[size:], included[size:])], held - size
+    if held:
+        yield tuple(np.concatenate(part) for part in zip(*pending))
+
+
+def _moments(measures: np.ndarray, included: np.ndarray, classes):
+    """Per-cell (count, mean, M2) of one block's included replications,
+    leaving out NaN cells, after checking every value's range."""
+    # Replications along the last, contiguous axis, which numpy sums pairwise.
+    values = np.ascontiguousarray(measures[included].transpose(1, 2, 0))
+    finite = np.isfinite(values)
+    bad = np.where(finite, (values < _LOW) | (values > _HIGH), _MUST_BE_FINITE)
+    if bad.any():
+        g, k = np.argwhere(bad.any(axis=-1))[0]
+        raise RuntimeError(f"measure {MEASURE_NAMES[k]} of structure {classes[g].id} is out of range")
+    count = finite.sum(axis=-1)
+    kept = np.where(finite, values, 0.0)
+    mean = np.divide(kept.sum(axis=-1), count, out=np.zeros(count.shape), where=count > 0)
+    m2 = (np.where(finite, values - mean[..., None], 0.0) ** 2).sum(axis=-1)
+    return count, mean, m2
+
+
+def _merge(a, b):
+    """Chan, Golub & LeVeque's pairwise update: the (count, mean, M2) of
+    two disjoint samples from those of each."""
+    count_a, mean_a, m2_a = a
+    count_b, mean_b, m2_b = b
+    count = count_a + count_b
+    share = np.divide(count_b, count, out=np.zeros(count.shape), where=count > 0)
+    delta = mean_b - mean_a
+    return count, mean_a + delta * share, m2_a + m2_b + delta * delta * count_a * share
+
+
 def run(
     config: SimulationConfig, progress: Callable[[int, int], None] | None = None
 ) -> SimulationSummary:
@@ -362,41 +422,41 @@ def run(
     and recorded in ``failures``; Pearson cells that are NaN (zero variance)
     are excluded from that cell only.  ``progress`` is called with
     (replications completed, total) as chunks finish.
+
+    Measures are reduced as chunks arrive, in blocks of
+    BATCH_ROWS // classes replications fixed by replication index, and the
+    blocks are merged in order, so memory stays bounded and neither the
+    worker count nor the chunking changes a bit of the result.
     """
     classes = enumerate_connected(config.n)
     total = config.num_sims
     threads = worker_count()
     bounds = _chunk_bounds(total, threads, len(classes))
+    failures: list[tuple[int, int | None]] = []
 
-    outputs = []
-    pool = ProcessPoolExecutor(threads) if threads > 1 and len(bounds) > 1 else None
-    with pool or contextlib.nullcontext():
-        chunks = (pool.map if pool else map)(_solve_chunk, repeat(config), *zip(*bounds))
-        for out, (_, e) in zip(chunks, bounds):
-            outputs.append(out)
+    def included(chunks):
+        for (measures, failed), (s, e) in zip(chunks, bounds):
+            failures.extend(failed)
+            kept = np.ones(e - s, dtype=bool)
+            kept[[r - s for r, _ in failed]] = False
+            yield measures, kept
             if progress is not None:
                 progress(e, total)
 
-    measures = np.concatenate([o[0] for o in outputs], axis=0)
-    failures = tuple(f for o in outputs for f in o[1])
-    included = np.ones(total, dtype=bool)
-    for replication, _ in failures:
-        included[replication] = False
+    zero = np.zeros((len(classes), len(MEASURE_NAMES)))
+    moments = (zero.astype(int), zero, zero)
+    pool = ProcessPoolExecutor(threads) if threads > 1 and len(bounds) > 1 else None
+    with pool or contextlib.nullcontext():
+        chunks = (pool.map if pool else map)(_solve_chunk, repeat(config), *zip(*bounds))
+        for block in _blocks(included(chunks), max(1, BATCH_ROWS // len(classes))):
+            moments = _merge(moments, _moments(*block, classes))
 
-    # Distances are finite and nonnegative (weight vectors lie in the simplex,
-    # so eu_w <= sqrt 2); correlations that exist lie in [-1, 1].
-    ranges = {"eu_m": (0.0, math.inf), "eu_w": (0.0, math.sqrt(2.0) + 1e-9)}
-    stats: dict[tuple[int, str], MeasureStats] = {}
-    for g, cls in enumerate(classes):
-        for k, name in enumerate(MEASURE_NAMES):
-            values = measures[included, g, k]
-            finite = np.isfinite(values)
-            kept = values[finite]
-            low, high = ranges.get(name, (-1.0 - 1e-9, 1.0 + 1e-9))
-            if (name in ranges and not finite.all()) or np.any((kept < low) | (kept > high)):
-                raise RuntimeError(f"measure {name} of structure {cls.id} is out of range")
-            count = int(kept.size)
-            mean = float(kept.mean()) if count else float("nan")
-            stddev = float(kept.std(ddof=1)) if count >= 2 else 0.0
-            stats[(cls.id, name)] = MeasureStats(mean, stddev, count)
-    return SimulationSummary(config=config, classes=classes, stats=stats, failures=failures)
+    count, mean, m2 = moments
+    mean = np.where(count > 0, mean, math.nan)
+    stddev = np.sqrt(np.divide(m2, count - 1, out=np.zeros(count.shape), where=count >= 2))
+    stats = {
+        (cls.id, name): MeasureStats(float(mean[g, k]), float(stddev[g, k]), int(count[g, k]))
+        for g, cls in enumerate(classes)
+        for k, name in enumerate(MEASURE_NAMES)
+    }
+    return SimulationSummary(config=config, classes=classes, stats=stats, failures=tuple(failures))

@@ -211,6 +211,20 @@ class TestConsistency:
             f"paircomp: cycle tolerance must be nonnegative, got {float(tol)}\n"
         )
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("name", ["split.csv", "split.pcm"])
+    def test_bad_tolerance_exits_one_on_a_disconnected_input(self, capsys, tmp_path, name, tol):
+        # No cycle check runs on a disconnected graph; the flag is still refused.
+        source = tmp_path / name
+        source.write_text(PINNED_INPUTS[name], encoding="utf-8")
+        fmt = "pcm" if name.endswith(".pcm") else "pairs"
+        assert main(["consistency", "--input", str(source), "--format", fmt, "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"paircomp: cycle tolerance must be nonnegative, got {float(tol)}\n"
+        )
+
     def test_disconnected_input_reports_undefined(self, capsys, tmp_path):
         source = tmp_path / "split.csv"
         source.write_text("i,j,worse,better\n1,2,1,1\n3,4,1,1\n", encoding="utf-8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,48 @@ class TestResultsTable:
         cells[5] = code
         lines[2] = ",".join(cells)
         with pytest.raises(ParseError, match=f"^row 3: canonical_code {code!r} is not a code"):
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("graph_id", ["g7", "g0"])
+    def test_graph_id_must_be_in_the_catalog(self, summary, graph_id):
+        # n = 4 has six connected classes, g1 to g6.
+        buffer = io.StringIO()
+        write_results(summary, buffer)
+        lines = buffer.getvalue().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = graph_id
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError, match=f"^row 3: {graph_id} is not in the catalog"):
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_canonical_code_must_be_that_of_its_class(self, summary):
+        # 0d fits n = 4 and three edges, but it is the path, not the star g1:
+        # report would then call g1 no star.
+        buffer = io.StringIO()
+        write_results(summary, buffer)
+        lines = buffer.getvalue().splitlines()
+        cells = lines[2].split(",")
+        assert (cells[3], cells[5]) == ("g1", "0b")
+        cells[5] = "0d"
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError, match="^row 3: canonical_code '0d' is not the code of g1"):
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("n", "\u0664"), ("excluded", "4_0"), ("num_sims", "-1"), ("edges", "+3")],
+    )
+    def test_integer_cells_need_ascii_digits(self, summary, column, cell):
+        # int() reads an Arabic-Indic four as 4, "4_0" as 40 and takes signs.
+        buffer = io.StringIO()
+        write_results(summary, buffer)
+        lines = buffer.getvalue().splitlines()
+        header = lines[0].split(",")
+        cells = lines[2].split(",")
+        cells[header.index(column)] = cell
+        lines[2] = ",".join(cells)
+        message = f"row 3: cannot parse {cell!r} as an integer"
+        with pytest.raises(ParseError, match="^" + re.escape(message)):
             read_results(io.StringIO("\n".join(lines) + "\n"))
 
     @pytest.mark.parametrize("column", ["n", "edges", "num_sims", "excluded"])

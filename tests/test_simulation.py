@@ -366,27 +366,35 @@ def chunk_newton(config: SimulationConfig):
 class TestBatchSolver:
     @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
     def test_batch_rows_match_single_calls(self, model):
-        # The experiment's batch path must agree with bt_mle row by row.
+        # The experiment's batch path must agree with bt_mle row by row.  A
+        # batch takes pair differences from a matrix product and a single
+        # call from a gather; the complete n = 5 and 6 lists have the most
+        # terms per vertex and per product.
         rng = np.random.default_rng(55)
-        graph = ComparisonGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-        rows = []
-        mats = []
-        for _ in range(8):
-            entries = {
-                pair: (float(rng.uniform(0.05, 0.95)), 0.0) for pair in graph.sorted_edges()
-            }
-            entries = {p: (d1, 1.0 - d1) for p, (d1, _) in entries.items()}
-            data = DataMatrix(5, entries)
-            mats.append(data)
-            rows.append([entries[p][0] for p in graph.sorted_edges()])
-        d1 = np.array(rows)
-        d2 = 1.0 - d1
-        ii, jj, _, _ = _pair_data(mats[0])
-        batch_m, _, converged = _newton_rows(d1, d2, ii, jj, 5, model, 1e-10, 100_000)
-        assert converged.all()
-        for r, data in enumerate(mats):
-            single = bt_mle(data, model)
-            assert np.array_equal(batch_m[r], single.m.values)
+        for graph in (
+            ComparisonGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),
+            ComparisonGraph.complete(5),
+            ComparisonGraph.complete(6),
+        ):
+            n = graph.n
+            rows = []
+            mats = []
+            for _ in range(8):
+                entries = {
+                    pair: (float(rng.uniform(0.05, 0.95)), 0.0) for pair in graph.sorted_edges()
+                }
+                entries = {p: (d1, 1.0 - d1) for p, (d1, _) in entries.items()}
+                data = DataMatrix(n, entries)
+                mats.append(data)
+                rows.append([entries[p][0] for p in graph.sorted_edges()])
+            d1 = np.array(rows)
+            d2 = 1.0 - d1
+            ii, jj, _, _ = _pair_data(mats[0])
+            batch_m, _, converged = _newton_rows(d1, d2, ii, jj, n, model, 1e-10, 100_000)
+            assert converged.all()
+            for r, data in enumerate(mats):
+                single = bt_mle(data, model)
+                assert np.array_equal(batch_m[r], single.m.values)
 
     @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -510,6 +518,42 @@ class TestRun:
         monkeypatch.setenv("PAIRCOMP_THREADS", "2")
         b = run(config)
         assert a.stats == b.stats
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_chunkings_straddling_blocks_do_not_change_results(self, monkeypatch, threads):
+        # Blocks of 50 // 6 = 8 replications; chunks of 3, 7, 1, 13, ...
+        # replications end inside blocks and span them.
+        import paircomp.simulation as sim
+
+        config = SimulationConfig(n=4, perturb=0.2, num_sims=61, seed=808)
+        monkeypatch.setattr(sim, "BATCH_ROWS", 50)
+        monkeypatch.setenv("PAIRCOMP_THREADS", "1")
+        reference = run(config)
+        monkeypatch.setenv("PAIRCOMP_THREADS", threads)
+        assert run(config).stats == reference.stats
+        edges = [0, 3, 10, 11, 24, 25, 33, 40, 59, 61]
+        monkeypatch.setattr(sim, "_chunk_bounds", lambda *_: list(zip(edges, edges[1:])))
+        assert run(config).stats == reference.stats
+
+    def test_memory_stays_flat_as_replications_grow(self, monkeypatch):
+        # Measures are reduced block by block, so a run holds a bounded number
+        # of them however many replications it makes.
+        import tracemalloc
+
+        import paircomp.simulation as sim
+
+        monkeypatch.setenv("PAIRCOMP_THREADS", "1")
+        monkeypatch.setattr(sim, "BATCH_ROWS", 96)
+        peaks = {}
+        for sims in (400, 1600):
+            run(SimulationConfig(n=4, perturb=0.2, num_sims=8, seed=3))  # warm caches
+            tracemalloc.start()
+            try:
+                run(SimulationConfig(n=4, perturb=0.2, num_sims=sims, seed=3))
+                peaks[sims] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1600] <= 1.5 * peaks[400]
 
     def test_progress_reaches_total(self):
         ticks = []
