@@ -36,6 +36,7 @@ from .graphs import (
     GraphClass,
     enumerate_connected,
     format_label,
+    is_ascii_digits,
     parse_label,
     properties,
 )
@@ -276,11 +277,9 @@ def _result_cell(name: str, cell: str, where: str):
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from None
     if _RESULT_TYPES[name] is int:
-        # ASCII digits only, as in a label: int() also takes signs, "4_0" and "٤".
-        digits = cell.strip()
-        if not (digits.isascii() and digits.isdigit()):
+        if not is_ascii_digits(cell):
             raise ParseError(f"{where}: cannot parse {cell!r} as an integer")
-        return int(digits)
+        return int(cell)
     if _RESULT_TYPES[name] is float:
         # NaN is legitimate in a statistic: a cell whose every replication was excluded.
         return _parse_float(cell, where, nan_ok=name in ("mean", "stddev"))

@@ -14,7 +14,6 @@ This module owns how files and reports spell a class: its label ``g<id>``
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -76,11 +75,18 @@ def format_label(graph_id: int) -> str:
     return f"g{graph_id}"
 
 
+def is_ascii_digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits: the only integers files
+    and labels take, as int() also takes blanks, signs, "4_0" and "٤"."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_label(text: str, what: str = "graph label") -> int:
     """The id in a label such as " g12 "; raises ValueError naming ``what``."""
-    if not re.fullmatch("g[0-9]+", text.strip()):
+    label = text.strip()
+    if not (label[:1] == "g" and is_ascii_digits(label[1:])):
         raise ValueError(f"{what} must look like g12, got {text!r}")
-    return int(text.strip()[1:])
+    return int(label[1:])
 
 
 @dataclass(frozen=True)
