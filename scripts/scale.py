@@ -5,8 +5,8 @@ memory and Newton iterations for n = 4, 5 and 6 under both models.
     python3 scripts/scale.py --sims 1000000 # the paper's scale
 
 Each configuration runs ``paircomp.run`` in a fresh process on one worker
-(PAIRCOMP_THREADS=1), so the chunking follows from the replication count
-alone, at perturbation 0.15 and seed 1.  Peak memory is that process's
+(PAIRCOMP_THREADS=1), in blocks of BATCH_ROWS // classes replications, at
+perturbation 0.15 and seed 1.  Peak memory is that process's
 maximum resident set size.  A second fresh process makes a fifth of the
 replications, so the file shows whether peak memory grows with the
 replication count.  Iterations are the Newton steps of every
@@ -67,7 +67,7 @@ def measure(n: int, model: str, sims: int) -> dict:
         "wall_s": round(wall, 3),
         "ms_per_rep": round(1e3 * wall / sims, 4),
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "excluded_reps": len({rep for rep, _ in summary.failures}),
+        "excluded_reps": len(summary.failures),
         "iterations": {
             "rows": int(cumulative[-1]),
             "p50": int(np.searchsorted(cumulative, 0.5 * cumulative[-1])),

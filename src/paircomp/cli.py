@@ -160,7 +160,7 @@ def _cmd_simulate(args) -> int:
     summary = run(config, progress=progress)
     _write_output(fileio.results_table(summary, args.json), args.out)
     if summary.failures:
-        print(f"paircomp: {len(summary.failures)} evaluations excluded", file=sys.stderr)
+        print(f"paircomp: {len(summary.failures)} replications excluded", file=sys.stderr)
     return 0
 
 

@@ -7,12 +7,13 @@ noise, evaluates the perturbed data by maximum likelihood — once complete,
 then restricted to every connected comparison structure — and scores each
 structure against the complete evaluation with six similarity measures.
 
-Replications are drawn, fitted and scored chunk by chunk in arrays, one batch
-row per (replication, structure).  Replication r still owns the substream
+Replications are drawn, fitted, scored and reduced block by block in arrays,
+one batch row per (replication, structure); a block is a fixed range of
+BATCH_ROWS // classes replications.  Replication r still owns the substream
 (seed, r): n integers, then one uniform per pair, drawn as a block unless a
 draw is rejected, when the row is redrawn pair by pair as :func:`perturb_data`
-does.  Rows of the batch solver are frozen individually on convergence, so
-results are bitwise identical however replications are chunked.
+does.  Rows of the batch solver are frozen individually on convergence, so a
+replication's measures do not depend on the rows solved beside it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ HIGHER_IS_BETTER = {
 #: Worker-count environment override.
 THREADS_ENV = "PAIRCOMP_THREADS"
 
-#: Most (replication, structure) rows fitted in one batch; bounds a chunk's memory.
+#: Most (replication, structure) rows fitted in one batch; bounds a block's memory.
 BATCH_ROWS = 2**13
 
 #: Least share of a pair's perturbation interval that must land inside the
@@ -115,7 +116,9 @@ class MeasureStats:
 @dataclass(frozen=True)
 class SimulationSummary:
     """Aggregated results: one :class:`MeasureStats` per (structure, measure),
-    plus the configuration and any excluded replications."""
+    plus the configuration and one ``failures`` record per excluded
+    replication, in replication order: (replication, graph id of its first
+    non-converged fit, or None when the complete fit failed)."""
 
     config: SimulationConfig
     classes: tuple[GraphClass, ...]
@@ -302,8 +305,9 @@ def _structure_mask(n: int) -> np.ndarray:
 
 
 def _solve_chunk(config: SimulationConfig, start: int, stop: int):
-    """Measures of shape (stop - start, classes, 6) plus failure records
-    (global replication index, graph id or None for the complete stage).
+    """Measures of shape (stop - start, classes, 6) plus one failure record
+    per replication with a non-converged fit: (global replication index,
+    graph id of its first such fit, or None when the complete fit failed).
 
     Every (replication, structure) pair is one row of a single batch solve
     over the complete pair list.  A structure's missing pairs carry
@@ -326,15 +330,20 @@ def _solve_chunk(config: SimulationConfig, start: int, stop: int):
     w = _softmax_rows(m)
     measures = _measure_rows(m[:, -1:], w[:, -1:], m, w)
 
-    # Most chunks fail nowhere; skipping the bookkeeping there saves about
-    # 3 % of a run of 8-replication n = 4 chunks.
-    if converged.all():
-        return measures, []
-    # Complete-stage failures (graph id None) first, then each structure's.
-    failed = np.roll(~converged.reshape(shape).T, 1, axis=0)
+    # The complete fit (graph id None) first, then each structure's.
+    failed = np.roll(~converged.reshape(shape), 1, axis=1)
     ids = [None] + [cls.id for cls in classes[:-1]]
-    failures = [(start + r, ids[g]) for g, r in np.argwhere(failed)]
+    reps = np.flatnonzero(failed.any(axis=1))
+    failures = [(start + int(r), ids[g]) for r, g in zip(reps, failed[reps].argmax(axis=1))]
     return measures, failures
+
+
+def _solve_block(config: SimulationConfig, start: int, stop: int):
+    """Per-cell (count, mean, M2) of the replications of [start, stop) that
+    converged everywhere, plus the failure records of the others."""
+    measures, failures = _solve_chunk(config, start, stop)
+    kept = np.delete(measures, [r - start for r, _ in failures], axis=0)
+    return _moments(kept, enumerate_connected(config.n)), failures
 
 
 def worker_count() -> int:
@@ -352,11 +361,11 @@ def worker_count() -> int:
     return count
 
 
-def _chunk_bounds(total: int, threads: int, classes: int) -> list[tuple[int, int]]:
-    # Few large chunks, as rows are solved in vectorized batches, but at most
-    # BATCH_ROWS (replication, structure) rows each.  Results do not depend on
-    # the chunking (rows are frozen individually on convergence).
-    size = max(1, min(-(-total // max(threads * 4, 8)), BATCH_ROWS // classes))
+def _block_bounds(total: int, classes: int) -> list[tuple[int, int]]:
+    """Replications [k B, (k + 1) B) for B = BATCH_ROWS // classes, the unit
+    of work and of reduction: at most BATCH_ROWS (replication, structure)
+    rows, whatever the worker count."""
+    size = max(1, BATCH_ROWS // classes)
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
@@ -370,27 +379,11 @@ _LOW, _HIGH = np.array(
 _MUST_BE_FINITE = np.array([name in _DISTANCES for name in MEASURE_NAMES])[:, None]
 
 
-def _blocks(chunks: Iterator[tuple[np.ndarray, np.ndarray]], size: int):
-    """Re-cut a stream of (measures, included) chunks, in replication order,
-    into blocks of ``size`` replications; the last block may be shorter."""
-    pending: list[tuple[np.ndarray, np.ndarray]] = []
-    held = 0
-    for chunk in chunks:
-        pending.append(chunk)
-        held += len(chunk[0])
-        while held >= size:
-            measures, included = (np.concatenate(part) for part in zip(*pending))
-            yield measures[:size], included[:size]
-            pending, held = [(measures[size:], included[size:])], held - size
-    if held:
-        yield tuple(np.concatenate(part) for part in zip(*pending))
-
-
-def _moments(measures: np.ndarray, included: np.ndarray, classes):
-    """Per-cell (count, mean, M2) of one block's included replications,
-    leaving out NaN cells, after checking every value's range."""
+def _moments(measures: np.ndarray, classes):
+    """Per-cell (count, mean, M2) of one block's measures, leaving out NaN
+    cells, after checking every value's range."""
     # Replications along the last, contiguous axis, which numpy sums pairwise.
-    values = np.ascontiguousarray(measures[included].transpose(1, 2, 0))
+    values = np.ascontiguousarray(measures.transpose(1, 2, 0))
     finite = np.isfinite(values)
     bad = np.where(finite, (values < _LOW) | (values > _HIGH), _MUST_BE_FINITE)
     if bad.any():
@@ -423,35 +416,29 @@ def run(
     Replications with a non-converged evaluation are excluded from every cell
     and recorded in ``failures``; Pearson cells that are NaN (zero variance)
     are excluded from that cell only.  ``progress`` is called with
-    (replications completed, total) as chunks finish.
+    (replications completed, total) as blocks finish.
 
-    Measures are reduced as chunks arrive, in blocks of
-    BATCH_ROWS // classes replications fixed by replication index, and the
-    blocks are merged in order, so memory stays bounded and neither the
-    worker count nor the chunking changes a bit of the result.
+    Each block of BATCH_ROWS // classes replications, fixed by replication
+    index, is solved and reduced in one worker call, and the blocks are
+    merged in order, so memory stays bounded and the worker count does not
+    change a bit of the result.
     """
     classes = enumerate_connected(config.n)
     total = config.num_sims
     threads = worker_count()
-    bounds = _chunk_bounds(total, threads, len(classes))
+    bounds = _block_bounds(total, len(classes))
     failures: list[tuple[int, int | None]] = []
-
-    def included(chunks):
-        for (measures, failed), (s, e) in zip(chunks, bounds):
-            failures.extend(failed)
-            kept = np.ones(e - s, dtype=bool)
-            kept[[r - s for r, _ in failed]] = False
-            yield measures, kept
-            if progress is not None:
-                progress(e, total)
 
     zero = np.zeros((len(classes), len(MEASURE_NAMES)))
     moments = (zero.astype(int), zero, zero)
     pool = ProcessPoolExecutor(threads) if threads > 1 and len(bounds) > 1 else None
     with pool or contextlib.nullcontext():
-        chunks = (pool.map if pool else map)(_solve_chunk, repeat(config), *zip(*bounds))
-        for block in _blocks(included(chunks), max(1, BATCH_ROWS // len(classes))):
-            moments = _merge(moments, _moments(*block, classes))
+        blocks = (pool.map if pool else map)(_solve_block, repeat(config), *zip(*bounds))
+        for (block, failed), (_, stop) in zip(blocks, bounds):
+            moments = _merge(moments, block)
+            failures.extend(failed)
+            if progress is not None:
+                progress(stop, total)
 
     count, mean, m2 = moments
     mean = np.where(count > 0, mean, math.nan)

@@ -40,7 +40,7 @@ from paircomp.graphs import pair_order
 from paircomp.simulation import (
     BATCH_ROWS,
     MEASURE_NAMES,
-    _chunk_bounds,
+    _block_bounds,
     _draw_rows,
     _measure_rows,
     _solve_chunk,
@@ -420,7 +420,7 @@ class TestBatchSolver:
     def test_chunking_does_not_change_results(self):
         config = SimulationConfig(n=4, perturb=0.2, num_sims=12, seed=77)
         a = run(config)
-        bounds = _chunk_bounds(12, 1, 6)
+        bounds = _block_bounds(12, 6)
         assert bounds[0][1] - bounds[0][0] >= 2  # chunks really do batch rows
 
         whole, _ = _solve_chunk(config, 0, 12)
@@ -455,14 +455,12 @@ class TestBatchSolver:
 
     def test_chunks_respect_the_batch_cap(self):
         classes = len(enumerate_connected(6))
-        for threads in (1, 2, 16):
-            bounds = _chunk_bounds(10**6, threads, classes)
-            assert bounds[0][0] == 0 and bounds[-1][1] == 10**6
-            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-            assert max(e - s for s, e in bounds) * classes <= BATCH_ROWS
-        # A small run keeps its few large chunks: 64 n = 4 replications on
-        # one worker are 8 chunks of 8.
-        assert _chunk_bounds(64, 1, 6) == [(s, s + 8) for s in range(0, 64, 8)]
+        bounds = _block_bounds(10**6, classes)
+        assert bounds[0][0] == 0 and bounds[-1][1] == 10**6
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert max(e - s for s, e in bounds) * classes <= BATCH_ROWS
+        # A small run is one block: 64 n = 4 replications are one chunk of 64.
+        assert _block_bounds(64, 6) == [(0, 64)]
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -520,9 +518,8 @@ class TestRun:
         assert a.stats == b.stats
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_chunkings_straddling_blocks_do_not_change_results(self, monkeypatch, threads):
-        # Blocks of 50 // 6 = 8 replications; chunks of 3, 7, 1, 13, ...
-        # replications end inside blocks and span them.
+    def test_small_blocks_do_not_change_results(self, monkeypatch, threads):
+        # Blocks of 50 // 6 = 8 replications, the last one short.
         import paircomp.simulation as sim
 
         config = SimulationConfig(n=4, perturb=0.2, num_sims=61, seed=808)
@@ -531,9 +528,50 @@ class TestRun:
         reference = run(config)
         monkeypatch.setenv("PAIRCOMP_THREADS", threads)
         assert run(config).stats == reference.stats
-        edges = [0, 3, 10, 11, 24, 25, 33, 40, 59, 61]
-        monkeypatch.setattr(sim, "_chunk_bounds", lambda *_: list(zip(edges, edges[1:])))
-        assert run(config).stats == reference.stats
+
+    def test_worker_count_does_not_change_failure_records(self, monkeypatch):
+        # Four Newton steps leave about two thirds of the n = 5 replications
+        # at this level unconverged somewhere; blocks of 8 spread them over
+        # the workers, which are forked and so see the patched values.
+        import paircomp.simulation as sim
+
+        config = SimulationConfig(n=5, perturb=0.3, num_sims=40, seed=1)
+        monkeypatch.setattr(sim, "DEFAULT_MAX_ITER", 4)
+        monkeypatch.setattr(sim, "BATCH_ROWS", 21 * 8)
+        monkeypatch.setenv("PAIRCOMP_THREADS", "1")
+        a = run(config)
+        monkeypatch.setenv("PAIRCOMP_THREADS", "2")
+        b = run(config)
+        assert a.failures == b.failures
+        assert a.stats == b.stats
+        # One record per excluded replication, in replication order, of
+        # plain ints that json can write.
+        reps = [r for r, _ in a.failures]
+        assert all(type(r) is int and type(g) in (int, type(None)) for r, g in a.failures)
+        assert reps == sorted(set(reps)) and reps
+        complete_id = a.classes[-1].id
+        assert a.cell(complete_id, "tau").count == config.num_sims - len(reps)
+
+    @pytest.mark.parametrize("unconverged, first", [([2], 2), ([4, 2], 2), ([4, 5], 5)])
+    def test_one_record_names_the_first_unconverged_fit(self, monkeypatch, unconverged, first):
+        # Fits of replication 3 fail to converge; a failed complete fit
+        # (class 5) is recorded as None ahead of any structure's.
+        import paircomp.simulation as sim
+
+        config = SimulationConfig(n=4, perturb=0.2, num_sims=5, seed=21)
+        classes = enumerate_connected(4)
+        r = 3
+
+        def newton(*args):
+            m, iterations, converged = _newton_rows(*args)
+            converged[[r * len(classes) + g for g in unconverged]] = False
+            return m, iterations, converged
+
+        monkeypatch.setenv("PAIRCOMP_THREADS", "1")
+        monkeypatch.setattr(sim, "_newton_rows", newton)
+        summary = run(config)
+        assert summary.failures == ((r, None if first == 5 else classes[first].id),)
+        assert summary.cell(classes[-1].id, "tau").count == config.num_sims - 1
 
     def test_memory_stays_flat_as_replications_grow(self, monkeypatch):
         # Measures are reduced block by block, so a run holds a bounded number
@@ -628,7 +666,7 @@ def test_failed_replications_are_excluded_and_counted(monkeypatch):
     monkeypatch.setattr(sim, "DEFAULT_MAX_ITER", 1)
     config = SimulationConfig(n=4, perturb=0.2, num_sims=3, seed=13)
     summary = run(config)
-    assert {rep for rep, _ in summary.failures} == {0, 1, 2}
+    assert summary.failures == ((0, None), (1, None), (2, None))
     for cell in summary.stats.values():
         assert cell.count == 0
         assert math.isnan(cell.mean)
