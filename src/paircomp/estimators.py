@@ -20,8 +20,8 @@ likelihood optima then coincide, so the start is the MLE; under noise it is
 close to it.  The eigenvalue completion minimizes
 log lambda_max, which is convex in the logs of the missing entries with a
 unique optimum on connected comparison graphs, by damped Newton with the
-exact Perron gradient and Hessian; eigenpairs come from the dense
-eigendecomposition.
+exact Perron gradient and Hessian; each iterate's eigenpair comes from one
+dense eigendecomposition.
 
 All iteration is in lexicographic pair order, so results are reproducible
 bit for bit.
@@ -225,27 +225,21 @@ def mm_step(data: DataMatrix, pi: np.ndarray) -> np.ndarray:
     return new / new[0]
 
 
-def _least_squares_start(d1, d2, ii, jj, n, model: ModelKind, plan=None):
+def _least_squares_start(d1, d2, model: ModelKind, plan: _Incidence):
     """Least-squares solution of F^-1(d2 / (d1 + d2)) = m_i - m_j over each
     row's pairs with both amounts positive, in the m_1 = 0 gauge, shape
     (rows, n).  A row with a one-sided pair (one amount zero) or a link
     that is not finite keeps m = 0.  ``plan`` is the :class:`_Incidence`
     of the pairs for at least ``rows`` rows.
     """
-    if plan is None:
-        plan = _Incidence(ii, jj, n, len(d1))
-    m = np.zeros((len(d1), n))
+    m = np.zeros((len(d1), plan.n))
     won, lost = d1 > 0, d2 > 0
     both = won & lost
     # Pairs without two-sided data get share 1/2, whose link is exactly 0.
     link = model.inverse_cdf(np.divide(d2, d1 + d2, out=np.full_like(d2, 0.5), where=both))
     fitted = ~((won != lost) | ~np.isfinite(link)).any(axis=1)
-    if fitted.all():
-        fitted = slice(None)
-    else:
-        link, both = link[fitted], both[fitted]
-    rhs = plan.vertex_sums(link)[:, 1:]
-    m[fitted, 1:] = plan.solve(both.astype(float), rhs)
+    rhs = plan.vertex_sums(link[fitted])[:, 1:]
+    m[fitted, 1:] = plan.solve(both[fitted].astype(float), rhs)
     return m
 
 
@@ -268,7 +262,7 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     """
     rows = d1.shape[0]
     plan = _Incidence(ii, jj, n, rows)
-    m = _least_squares_start(d1, d2, ii, jj, n, model, plan)
+    m = _least_squares_start(d1, d2, model, plan)
     x = m[:, 1:]
     current = _loglik_rows(plan.differences(x), d1, d2, model)
     iterations = np.zeros(rows, dtype=np.intp)
@@ -281,11 +275,8 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
         # Take the full step where the ascent it promises (half the Newton
         # decrement) is below the rounding of the log-likelihood: there a
         # line search compares noise.  Elsewhere halve until it ascends.
-        # The decrement is summed with m_1's zero term in front, so a row of
-        # any length adds in the same order as over all of m.
-        terms = np.zeros((len(x), n))
-        np.multiply(grad, direction, out=terms[:, 1:])
-        search = np.flatnonzero(0.5 * terms.sum(axis=1) > threshold * np.abs(current))
+        decrement = (grad * direction).sum(axis=1)
+        search = np.flatnonzero(0.5 * decrement > threshold * np.abs(current))
         scale = np.ones(len(x))
         for _ in range(60):
             if search.size == 0:
@@ -339,8 +330,9 @@ def bt_mle(
     steps = int(iterations[0])
     if not converged[0]:
         raise NoConvergence("maximum likelihood iteration did not converge", steps)
-    m = ExpectedValueVector(m_rows[0])
-    return MleResult(m, log_likelihood(data, m, model), steps, True)
+    m = m_rows[0]
+    loglik = _loglik_rows(m[None, ii] - m[None, jj], d1[None, :], d2[None, :], model)[0]
+    return MleResult(ExpectedValueVector(m), float(loglik), steps, True)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +378,8 @@ def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
     (j, i) as exp(-t).  f is convex in t and its minimum is unique on
     connected graphs (Bozoki, Fulop & Ronyai 2010), so damped Newton with the
     exact Perron derivatives converges in a few steps.  Returns the completed
-    matrix and the number of Newton steps."""
+    matrix, its Perron root and right Perron vector (summing to 1), and the
+    number of Newton steps."""
     n = pcm.n
     known = set(pcm.known_pairs())
     ii, jj = np.array(
@@ -406,45 +399,49 @@ def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
     log_w = np.log(llsm(pcm).values)
     t = log_w[ii] - log_w[jj]
     a = completed(t)
+    lam, w = _perron_pair(a)
     previous = math.inf
     for step in range(1, max_iter + 1):
         # Left and right Perron vectors u, w with u.w = 1.  With dA_s the
         # derivative of A in t_s, d lambda / d t_s = u' dA_s w; row s of dw
-        # is dA_s w and row s of du is u' dA_s.  The second derivatives go
-        # through the reduced resolvent S of lambda I - A, taken from the
-        # inverse of lambda I - A + w u': that matrix stays regular where A
-        # has rank one (a consistent completion), while a full eigenbasis of
-        # A does not.
-        lam, w = _perron_pair(a)
+        # is dA_s w and row s of du is u' dA_s.  As w sums to 1,
+        # M = lambda I - A + w 1' has u' M = 1', so u' = 1' M^-1, and the
+        # second derivatives go through the reduced resolvent
+        # S = (I - w u') M^-1 (I - w u') of lambda I - A.  M stays regular
+        # where A has rank one (a consistent completion; its eigenvalues are
+        # then 1 and lambda), while a full eigenbasis of A does not.
         current = math.log(lam)
-        u = _perron_pair(a.T)[1]
-        u /= u @ w
+        inverse = np.linalg.inv(lam * eye - a + w[:, None])
+        u = inverse.sum(axis=0)
         up, down = a[ii, jj], a[jj, ii]
         upper, lower = u[ii] * up * w[jj], u[jj] * down * w[ii]
         grad = (upper - lower) / lam
         dw = eye[ii] * (up * w[jj])[:, None] - eye[jj] * (down * w[ii])[:, None]
         du = eye[jj] * (u[ii] * up)[:, None] - eye[ii] * (u[jj] * down)[:, None]
-        projector = np.outer(w, u)
-        resolvent = np.linalg.inv(lam * eye - a + projector) - projector
-        mixed = du @ resolvent @ dw.T
+        complement = eye - np.outer(w, u)
+        mixed = du @ (complement @ inverse @ complement) @ dw.T
         hess = (np.diag(upper + lower) + mixed + mixed.T) / lam - np.outer(grad, grad)
         direction = -np.linalg.solve(hess, grad)
         # Take the full step where the descent it promises (half the Newton
         # decrement) is below the rounding of f: there a line search compares
-        # noise.  Elsewhere halve until f does not increase.
+        # noise.  Elsewhere halve until f does not increase, at most 60
+        # times.  Each point is decomposed once, unless it leaves t as it is,
+        # and the point taken is the next iterate.
         size = float(np.max(np.abs(direction)))
         flat = -0.5 * (grad @ direction) <= n * np.finfo(float).eps * max(1.0, abs(current))
         scale = 1.0
-        for _ in range(0 if flat else 60):
-            if math.log(_perron_pair(completed(t + scale * direction))[0]) <= current:
+        for halvings in range(61):
+            moved = t + scale * direction
+            taken = (lam, w) if np.array_equal(moved, t) else _perron_pair(completed(moved))
+            if flat or halvings == 60 or math.log(taken[0]) <= current:
                 break
             scale *= 0.5
-        t = t + scale * direction
-        a = completed(t)
+        t, a = moved, completed(moved)
+        lam, w = taken
         # Where f is flat to rounding, a full step that no longer shrinks is
         # rounding noise in a direction f hardly sees: stop there as well.
         if size < completion_tol or (flat and size >= previous):
-            return a, step
+            return a, lam, w, step
         previous = size
     raise NoConvergence("eigenvalue-minimal completion did not converge", max_iter)
 
@@ -475,9 +472,9 @@ def em(
     iterations = 0
     if pcm.is_complete:
         matrix = pcm.as_array()
+        lam, vec = _perron_pair(matrix)
     else:
-        matrix, iterations = _complete_lambda_min(pcm, completion_tol, max_iter)
-    lam, vec = _perron_pair(matrix)
+        matrix, lam, vec, iterations = _complete_lambda_min(pcm, completion_tol, max_iter)
     image = matrix @ vec
     residual = float(np.max(np.abs(image - lam * vec)))
     if not residual <= eig_tol * max(1.0, float(np.max(np.abs(image)))):

@@ -83,6 +83,9 @@ def _rows_of(source: str | Path | TextIO) -> list[list[str]]:
 
 def _parse_float(cell: str, where: str, nan_ok: bool = False) -> float:
     try:
+        # float() also takes "1_0" and non-ASCII digits such as "٣"; files do not.
+        if not cell.isascii() or "_" in cell:
+            raise ValueError(cell)
         value = float(cell)
     except ValueError:
         raise ParseError(f"{where}: cannot parse {cell!r} as a number") from None
@@ -106,10 +109,9 @@ def parse_pairs(source: str | Path | TextIO, n: int | None = None) -> DataMatrix
         where = f"row {number}"
         if len(row) != 4:
             raise ParseError(f"{where}: expected 4 fields, got {len(row)}")
-        try:
-            i, j = int(row[0]), int(row[1])
-        except ValueError:
-            raise ParseError(f"{where}: indices must be integers") from None
+        if not (is_ascii_digits(row[0]) and is_ascii_digits(row[1])):
+            raise ParseError(f"{where}: indices must be integers in ASCII digits")
+        i, j = int(row[0]), int(row[1])
         if not 1 <= i < j:
             raise ParseError(f"{where}: indices must satisfy 1 <= i < j, got ({i}, {j})")
         worse = _parse_float(row[2], where)
@@ -316,10 +318,6 @@ def read_results(source: str | Path | TextIO) -> list[ResultRow]:
                              f"({entry.code_hex})")
         parsed.append(result)
     return parsed
-
-
-def results_json(summary: SimulationSummary) -> str:
-    return results_table(summary, as_json=True)
 
 
 def graphs_json(classes: Iterable[GraphClass]) -> str:

@@ -216,6 +216,7 @@ def single_edge_extensions(a: GraphClass, b: GraphClass) -> bool:
     return False
 
 
+@functools.cache
 def star_class(n: int) -> GraphClass:
     """The unique star spanning-tree class of the catalog for n vertices."""
     for cls in enumerate_connected(n):

@@ -12,7 +12,7 @@ from collections import defaultdict
 
 from .errors import MissingSlice
 from .fileio import ResultRow
-from .graphs import format_label, parse_label, properties
+from .graphs import format_label, parse_label, star_class
 from .simulation import HIGHER_IS_BETTER, MEASURE_NAMES
 
 
@@ -78,7 +78,8 @@ def best_by_edges(rows: list[ResultRow]):
 
 
 def _is_star_row(row: ResultRow) -> bool:
-    return properties(row.graph_class().member()).is_star
+    # read_results guarantees that a row's code is its class's code.
+    return row.graph_id == star_class(row.n).id
 
 
 def spanning_trees(rows: list[ResultRow]):

@@ -32,7 +32,7 @@ from scipy.special import ndtri
 
 from .core import DataMatrix, ExpectedValueVector, ModelKind, WeightVector
 from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows
-from .graphs import GraphClass, enumerate_connected, pair_order
+from .graphs import GraphClass, enumerate_connected, is_ascii_digits, pair_order
 
 #: Measure column names, in canonical order.
 MEASURE_NAMES = ("eu_m", "eu_w", "pe_m", "pe_w", "rho", "tau")
@@ -352,13 +352,9 @@ def worker_count() -> int:
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
         return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
+    if not is_ascii_digits(raw) or int(raw) < 1:
         raise ValueError(f"{THREADS_ENV} must be a positive integer, not {raw!r}")
-    return count
+    return int(raw)
 
 
 def _block_bounds(total: int, classes: int) -> list[tuple[int, int]]:
@@ -425,13 +421,14 @@ def run(
     """
     classes = enumerate_connected(config.n)
     total = config.num_sims
-    threads = worker_count()
     bounds = _block_bounds(total, len(classes))
+    # A pool starts all its processes at the first task: no more than there are blocks.
+    workers = min(worker_count(), len(bounds))
     failures: list[tuple[int, int | None]] = []
 
     zero = np.zeros((len(classes), len(MEASURE_NAMES)))
     moments = (zero.astype(int), zero, zero)
-    pool = ProcessPoolExecutor(threads) if threads > 1 and len(bounds) > 1 else None
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         blocks = (pool.map if pool else map)(_solve_block, repeat(config), *zip(*bounds))
         for (block, failed), (_, stop) in zip(blocks, bounds):

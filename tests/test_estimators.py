@@ -35,6 +35,7 @@ from paircomp.estimators import (
     DEFAULT_MAX_ITER,
     DEFAULT_MLE_TOL,
     _complete_lambda_min,
+    _Incidence,
     _least_squares_start,
     _newton_rows,
     _pair_data,
@@ -198,7 +199,7 @@ class TestEm:
                     for i, j in cls.member().sorted_edges()
                 }
                 pcm = IPCM.from_upper(n, upper)
-                completed, _ = _complete_lambda_min(pcm, DEFAULT_COMPLETION_TOL, DEFAULT_MAX_ITER)
+                completed = _complete_lambda_min(pcm, DEFAULT_COMPLETION_TOL, DEFAULT_MAX_ITER)[0]
                 missing = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in upper]
                 t = np.array([math.log(completed[i, j]) for i, j in missing])
 
@@ -236,6 +237,41 @@ class TestEm:
                 result = em(IPCM.from_weight_ratios(w).restrict(cls.member()))
                 assert result.lambda_max == pytest.approx(n, abs=1e-9)
                 assert np.max(np.abs(result.weights.values - w.values)) < 1e-9
+
+    def test_each_matrix_is_decomposed_once(self, monkeypatch):
+        # One eigendecomposition per iterate and line-search trial: the left
+        # Perron vector comes from the Newton step's inverse, not from A', and
+        # the eigenpair of the point the line search takes is the next
+        # iterate's and em's.  Every decomposed matrix keeps the known entries
+        # as given, which an A' problem would not.
+        import paircomp.estimators as estimators
+
+        perron_pair, decomposed = estimators._perron_pair, []
+
+        def recording(matrix):
+            decomposed.append(matrix.copy())
+            return perron_pair(matrix)
+
+        monkeypatch.setattr(estimators, "_perron_pair", recording)
+        rng = np.random.default_rng(43)
+        pcms = [IPCM.from_upper(5, {(i, j): math.exp(rng.normal())
+                                    for i in range(5) for j in range(i + 1, 5)})]
+        for n in (3, 4, 5, 6):
+            for cls in incomplete_classes(n)[::3]:
+                weights = rng.integers(1, 10, size=n).astype(float)
+                upper = {
+                    (i, j): weights[i] / weights[j] * math.exp(rng.uniform(-0.3, 0.3))
+                    for i, j in cls.member().sorted_edges()
+                }
+                pcms.append(IPCM.from_upper(n, upper))
+        for pcm in pcms:
+            decomposed.clear()
+            em(pcm)
+            assert len({a.tobytes() for a in decomposed}) == len(decomposed)
+            if pcm.is_complete:
+                assert len(decomposed) == 1
+            for a in decomposed:
+                assert all(a[i, j] == value for (i, j), value in pcm.entries.items())
 
     def test_completion_stops_at_the_rounding_floor(self):
         # Ratios spanning 1e-6 .. 570 leave log lambda_max flat to rounding
@@ -347,7 +383,8 @@ class TestBtMle:
         # the minorize-maximize fixed point.
         data = DataMatrix(3, entries)
         ii, jj, d1, d2 = _pair_data(data)
-        assert not _least_squares_start(d1[None], d2[None], ii, jj, 3, LOGISTIC).any()
+        plan = _Incidence(ii, jj, 3, 1)
+        assert not _least_squares_start(d1[None], d2[None], LOGISTIC, plan).any()
         pi = np.ones(3)
         for _ in range(10_000):
             previous, pi = pi, mm_step(data, pi)
@@ -367,7 +404,7 @@ class TestBtMle:
         ii, jj, _, _ = _pair_data(tables[0])
         d1 = np.array([_pair_data(t)[2] for t in tables])
         d2 = np.array([_pair_data(t)[3] for t in tables])
-        start = _least_squares_start(d1, d2, ii, jj, 3, model)
+        start = _least_squares_start(d1, d2, model, _Incidence(ii, jj, 3, len(d1)))
         assert not start[0::2].any() and start[1::2, 1:].all()
         m, iterations, converged = _newton_rows(
             d1, d2, ii, jj, 3, model, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER

@@ -34,8 +34,8 @@ from paircomp.fileio import (
     parse_pairs,
     parse_pcm,
     read_results,
-    results_json,
     results_rows,
+    results_table,
     write_results,
 )
 from paircomp.simulation import MEASURE_NAMES, MeasureStats, SimulationSummary
@@ -106,6 +106,23 @@ class TestParsePairs:
         with pytest.raises(ParseError):
             parse_pairs(io.StringIO("i,j,worse,better\n1,5,1,1\n"), n=3)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1,1_0,1,2", "+1,2,1_0,\u0663"], "row 2: indices must be integers in ASCII digits"),
+            (["+1,2,1,2"], "row 2: indices must be integers in ASCII digits"),
+            (["1,2,1_0,3"], "row 2: cannot parse '1_0' as a number"),
+            (["1,2,1,\u0663"], "row 2: cannot parse '\u0663' as a number"),
+        ],
+        ids=["index-underscore", "index-sign", "amount-underscore", "amount-arabic-indic"],
+    )
+    def test_numbers_need_ascii(self, rows, message):
+        # int() and float() read "1_0" as 10 and an Arabic-Indic three as 3,
+        # and int() takes signs: the first file would parse as n = 10.
+        with pytest.raises(ParseError) as raised:
+            parse_pairs(io.StringIO("\n".join(["i,j,worse,better", *rows]) + "\n"))
+        assert str(raised.value) == message
+
     def test_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(13)
         entries = {
@@ -174,6 +191,13 @@ class TestParsePcm:
             parse_pcm(io.StringIO("1,0\n0,1\n"))
         with pytest.raises(NonPositiveEntry):
             parse_pcm(io.StringIO("1,-2\n-0.5,1\n"))
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663"])
+    def test_ratios_need_ascii(self, cell):
+        # float() reads "1_0" as 10 and an Arabic-Indic three as 3.
+        with pytest.raises(ParseError) as raised:
+            parse_pcm(io.StringIO(f"1,{cell}\n0.5,1\n"))
+        assert str(raised.value) == f"cell (1, 2): cannot parse {cell!r} as a number"
 
     def test_ragged_grid(self):
         with pytest.raises(ParseError):
@@ -365,7 +389,7 @@ class TestResultsBytes:
         assert buffer.getvalue() == FIXED_CSV
 
     def test_json_bytes_are_pinned(self):
-        assert results_json(_fixed_summary()) == FIXED_JSON
+        assert results_table(_fixed_summary(), as_json=True) == FIXED_JSON
 
     @pytest.mark.parametrize(
         "column, cell, message",
@@ -376,9 +400,13 @@ class TestResultsBytes:
             ("graph_id", " h2", "row 3: graph_id must look like g12, got 'h2'"),
             ("measure", "mad", "row 3: unknown measure 'mad'"),
             ("mean", "0.2.5", "row 3: cannot parse '0.2.5' as a number"),
+            # float() reads "1_0" as 10 and an Arabic-Indic three as 3.
+            ("perturb", "1_0", "row 3: cannot parse '1_0' as a number"),
+            ("mean", "\u0663", "row 3: cannot parse '\u0663' as a number"),
             (None, "extra", "row 3: expected 11 fields"),
         ],
-        ids=["integer", "float", "float-nan", "label", "measure", "statistic", "width"],
+        ids=["integer", "float", "float-nan", "label", "measure", "statistic", "float-underscore",
+             "statistic-arabic-indic", "width"],
     )
     def test_malformed_cell_message_is_pinned(self, column, cell, message):
         lines = FIXED_CSV.splitlines()

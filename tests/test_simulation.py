@@ -650,12 +650,46 @@ class TestRun:
                          epsilon=sliver - 1e-3)
 
     def test_worker_count_rejects_a_non_integer(self, monkeypatch):
-        for raw in ("abc", "2.5", "", "0"):
+        # int() also reads "1_000" as 1000 and an Arabic-Indic two as 2.
+        for raw in ("abc", "2.5", "", "0", "1_000", "\u0662", "+2"):
             monkeypatch.setenv("PAIRCOMP_THREADS", raw)
             with pytest.raises(ValueError, match="PAIRCOMP_THREADS must be a positive integer"):
                 worker_count()
         monkeypatch.setenv("PAIRCOMP_THREADS", "3")
         assert worker_count() == 3
+
+    def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
+        # A process pool starts all its workers at the first task, so a run
+        # of two blocks must ask for two whatever PAIRCOMP_THREADS says.  The
+        # recording pool runs the blocks in this process.
+        import paircomp.simulation as sim
+
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "BATCH_ROWS", 50)  # blocks of 8 replications at n = 4
+        config = SimulationConfig(n=4, perturb=0.1, num_sims=12, seed=5)
+        monkeypatch.setenv("PAIRCOMP_THREADS", "1")
+        reference = run(config)
+        assert opened == []
+        monkeypatch.setenv("PAIRCOMP_THREADS", "64")
+        assert run(config).stats == reference.stats
+        assert opened == [2]
+        run(SimulationConfig(n=4, perturb=0.1, num_sims=8, seed=5))
+        assert opened == [2]
 
 
 def test_failed_replications_are_excluded_and_counted(monkeypatch):
