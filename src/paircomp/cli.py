@@ -75,7 +75,7 @@ def _consistency_payload(data, pcm, tol):
 
 def _cmd_rank(args) -> int:
     if args.method in ("bt", "thurstone") and args.format != "pairs":
-        raise CliUsage("methods bt and thurstone need --format pairs")
+        build_parser().error("methods bt and thurstone need --format pairs")
     data, pcm = _load_input(args)
 
     payload: dict = {"method": args.method}
@@ -173,10 +173,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-class CliUsage(Exception):
-    pass
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -236,12 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliUsage as exc:
-        parser.error(str(exc))
     except (FordViolation, DisconnectedGraph, NoConvergence) as exc:
         print(f"paircomp: {exc}", file=sys.stderr)
         return 2

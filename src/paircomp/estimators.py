@@ -193,10 +193,15 @@ def log_likelihood_gradient(
     return _Incidence(ii, jj, data.n, 1).vertex_sums(g_pair[None, :])[0]
 
 
+def _softmax_rows(m: np.ndarray) -> np.ndarray:
+    """exp(m_i) / sum_j exp(m_j) along the last axis."""
+    e = np.exp(m - np.max(m, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def weights_from_m(m: ExpectedValueVector) -> WeightVector:
     """Priority vector w_i = exp(m_i) / sum_j exp(m_j)."""
-    e = np.exp(m.values - np.max(m.values))
-    return WeightVector.normalized(e)
+    return WeightVector(_softmax_rows(m.values))
 
 
 def m_from_weights(w: WeightVector) -> ExpectedValueVector:
@@ -356,7 +361,7 @@ def llsm(pcm: IPCM) -> WeightVector:
     plan = _Incidence(ii, jj, n, 1)
     y = np.zeros(n)
     y[1:] = plan.solve(np.ones_like(log_ratio), plan.vertex_sums(log_ratio)[:, 1:])[0]
-    return WeightVector.normalized(np.exp(y - y.max()))
+    return WeightVector(_softmax_rows(y))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, TextIO, get_type_hints
 
-from .core import IPCM, DataMatrix, RECIPROCITY_TOL
+from .core import IPCM, DataMatrix, ModelKind, RECIPROCITY_TOL
 from .errors import (
     BadDiagonal,
     BadHeader,
@@ -224,14 +224,6 @@ class ResultRow:
     num_sims: int
     excluded: int
 
-    def graph_class(self) -> GraphClass:
-        return GraphClass(
-            n=self.n,
-            canonical_code=int(self.canonical_code, 16),
-            edge_count=self.edges,
-            id=self.graph_id,
-        )
-
 
 RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
 _RESULT_TYPES = get_type_hints(ResultRow)
@@ -287,6 +279,8 @@ def _result_cell(name: str, cell: str, where: str):
         return _parse_float(cell, where, nan_ok=name in ("mean", "stddev"))
     if name == "measure" and cell not in MEASURE_NAMES:
         raise ParseError(f"{where}: unknown measure {cell!r}")
+    if name == "model" and cell not in {kind.value for kind in ModelKind}:
+        raise ParseError(f"{where}: unknown model {cell!r}")
     return cell
 
 
@@ -300,6 +294,14 @@ def read_results(source: str | Path | TextIO) -> list[ResultRow]:
         if len(row) != len(RESULTS_HEADER):
             raise ParseError(f"{where}: expected {len(RESULTS_HEADER)} fields")
         result = ResultRow(*(_result_cell(*pair, where) for pair in zip(RESULTS_HEADER, row)))
+        # A run perturbs by a level in [0, 1) and excludes at most all of its replications.
+        if not 0.0 <= result.perturb < 1.0:
+            raise ParseError(f"{where}: perturb {result.perturb!r} is not in [0, 1)")
+        if result.num_sims < 1:
+            raise ParseError(f"{where}: num_sims must be at least 1, got {result.num_sims}")
+        if result.excluded > result.num_sims:
+            raise ParseError(f"{where}: excluded {result.excluded} exceeds num_sims "
+                             f"{result.num_sims}")
         # The code must be hex and name a graph on n vertices with `edges` edges.
         code, k = result.canonical_code, result.n * (result.n - 1) // 2
         value = int(code, 16) if code and set(code) <= set(string.hexdigits) else -1

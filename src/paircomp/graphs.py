@@ -136,8 +136,9 @@ def enumerate_connected(n: int) -> tuple[GraphClass, ...]:
     sorted by (edge count, canonical code) and numbered from 1.
 
     Edge subsets are scanned in ascending code order; the first member of each
-    isomorphism orbit encountered is therefore its canonical representative,
-    and the rest of the orbit is marked visited.
+    isomorphism orbit encountered is therefore its canonical representative.
+    Each orbit, connected or not, is marked visited when it is first met, so
+    connectivity is tested once per orbit.
     """
     if n < 2:
         raise ValueError("enumeration needs at least 2 vertices")
@@ -151,15 +152,9 @@ def enumerate_connected(n: int) -> tuple[GraphClass, ...]:
         if visited[code]:
             continue
         bits = _pairs_of(n, code)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for s in bits:
-            i, j = pairs[s]
-            adj[i].append(j)
-            adj[j].append(i)
-        if len(_breadth_first(adj)) < n:
-            continue
-        codes.append(code)
         visited[_relabelings(n, bits)] = True
+        if ComparisonGraph(n, [pairs[s] for s in bits]).is_connected():
+            codes.append(code)
 
     codes.sort(key=lambda c: (bin(c).count("1"), c))
     return tuple(

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import DataMatrix, ExpectedValueVector, ModelKind, WeightVector
-from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows, _softmax_rows
 from .graphs import GraphClass, enumerate_connected, is_ascii_digits, pair_order
 
 #: Measure column names, in canonical order.
@@ -263,11 +263,6 @@ def error_bound(num_sims: int, alpha: float, sigma: float) -> float:
 
 # ---------------------------------------------------------------------------
 # The experiment
-
-
-def _softmax_rows(m: np.ndarray) -> np.ndarray:
-    e = np.exp(m - np.max(m, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:

@@ -144,6 +144,16 @@ class TestRank:
             main(["rank", "--input", pcm_file, "--format", "pcm", "--method", "bt"])
         assert info.value.code == 2
 
+    def test_bt_on_a_matrix_is_a_usage_error(self, pcm_file):
+        result = run_cli_subprocess(
+            "-m", "paircomp.cli", "rank", "--input", pcm_file, "--format", "pcm", "--method", "bt"
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == (
+            "paircomp: error: methods bt and thurstone need --format pairs"
+        )
+
     def test_weights_sum_to_one(self, capsys, pairs_file):
         for method in ("bt", "thurstone", "llsm", "em"):
             payload = run_json(

@@ -238,7 +238,7 @@ class TestResultsTable:
 
     def test_rows_carry_structure_metadata(self, summary):
         for row in results_rows(summary):
-            cls = row.graph_class()
+            cls = enumerate_connected(row.n)[row.graph_id - 1]
             assert cls.edge_count == row.edges
             assert cls.member().edge_count == row.edges
             assert row.model == "logistic"
@@ -302,6 +302,28 @@ class TestResultsTable:
         lines[2] = ",".join(cells)
         message = f"row 3: cannot parse {cell!r} as an integer"
         with pytest.raises(ParseError, match="^" + re.escape(message)):
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            ("model", "foo", "unknown model 'foo'"),
+            ("perturb", "-5", "perturb -5.0 is not in [0, 1)"),
+            ("perturb", "1", "perturb 1.0 is not in [0, 1)"),
+            ("num_sims", "0", "num_sims must be at least 1, got 0"),
+            ("excluded", "999", "excluded 999 exceeds num_sims 5"),
+        ],
+        ids=["model", "perturb-negative", "perturb-one", "num_sims", "excluded"],
+    )
+    def test_cells_no_run_can_write_are_refused(self, summary, column, cell, message):
+        buffer = io.StringIO()
+        write_results(summary, buffer)
+        lines = buffer.getvalue().splitlines()
+        header = lines[0].split(",")
+        cells = lines[2].split(",")
+        cells[header.index(column)] = cell
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError, match="^" + re.escape(f"row 3: {message}") + "$"):
             read_results(io.StringIO("\n".join(lines) + "\n"))
 
     @pytest.mark.parametrize("column", ["n", "edges", "num_sims", "excluded"])

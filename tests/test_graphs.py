@@ -19,6 +19,8 @@ from paircomp import (
     single_edge_extensions,
     star_class,
 )
+from paircomp import core, graphs
+from paircomp.core import _breadth_first
 from paircomp.graphs import pair_order
 
 
@@ -112,6 +114,23 @@ class TestEnumeration:
         assert len(enumerate_connected(4)) == 6
         assert len(enumerate_connected(5)) == 21
         assert len(enumerate_connected(6)) == 112
+
+    @pytest.mark.parametrize("n, searches", [(4, 10), (5, 33), (6, 155)])
+    def test_connectivity_is_searched_once_per_orbit(self, monkeypatch, n, searches):
+        # One breadth-first search per unlabeled graph on n vertices (OEIS
+        # A000088: 11, 34, 156) but the empty one, whose code the scan skips.
+        calls = []
+
+        def counted(adj, source=0):
+            calls.append(source)
+            return _breadth_first(adj, source)
+
+        cached = enumerate_connected(n)
+        enumerate_connected.cache_clear()
+        monkeypatch.setattr(core, "_breadth_first", counted)
+        monkeypatch.setattr(graphs, "_breadth_first", counted)
+        assert enumerate_connected(n) == cached
+        assert len(calls) == searches
 
     def test_three_vertices_against_brute_force(self):
         # All 2^3 subsets of the triangle's edges: connected ones are the two
