@@ -10,10 +10,13 @@ structure against the complete evaluation with six similarity measures.
 Replications are drawn, fitted, scored and reduced block by block in arrays,
 one batch row per (replication, structure); a block is a fixed range of
 BATCH_ROWS // classes replications.  Replication r still owns the substream
-(seed, r): n integers, then one uniform per pair, drawn as a block unless a
-draw is rejected, when the row is redrawn pair by pair as :func:`perturb_data`
-does.  Rows of the batch solver are frozen individually on convergence, so a
-replication's measures do not depend on the rows solved beside it.
+of ``default_rng([seed, r])``: n integers, then one uniform per pair, redrawn
+pair by pair as :func:`perturb_data` does where one is rejected.  A block
+computes its substreams in arrays, bitwise as numpy's Generator makes them; a
+row falls back to its own Generator only when an integer draw is rejected or
+its redraws outrun the offsets computed for it.  Rows of the batch solver are
+frozen individually on convergence, so a replication's measures do not depend
+on the rows solved beside it.
 """
 
 from __future__ import annotations
@@ -262,31 +265,185 @@ def error_bound(num_sims: int, alpha: float, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The experiment
+# Substreams in arrays
+#
+# default_rng([seed, r]) seeds PCG64 from SeedSequence([seed, r]).  The
+# functions below compute those generators' outputs for many r at once, bitwise
+# as numpy's own: SeedSequence's pool hash and generate_state on uint32 arrays,
+# then the 128-bit LCG jumped straight to each output on two uint64 limbs.
+
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_steps(key: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's running hash constant over ``count`` steps: (xor key,
+    multiplier) of each, shape (2, count, 1); a step's multiplier is the
+    next step's key."""
+    keys = [key]
+    for _ in range(count):
+        keys.append(keys[-1] * mult & _MASK32)
+    return np.array([keys[:-1], keys[1:]], np.uint32)[:, :, None]
+
+
+_MIX_KEYS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_STATE_KEYS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    key, mult = keys
+    mixed = (values ^ key) * mult
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _pcg64_starts(seed: int, reps: np.ndarray) -> np.ndarray:
+    """PCG64 as default_rng([seed, r]) seeds it, for each uint64 r of
+    ``reps``: (initstate + inc, inc) in (high, low) uint64 limbs, shape
+    (2 limbs, 2, len(reps)).  The entropy words of [seed, r] are seed's one
+    or two 32-bit words, then r's; a high word of 0 for r is the pool's own
+    zero padding, so every r < 2**64 fits SeedSequence's 4-word pool."""
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    pool = np.zeros((4, len(reps)), np.uint32)
+    pool[: len(words)] = np.array(words, np.uint32)[:, None]
+    pool[len(words)], pool[len(words) + 1] = reps & _MASK32, reps >> 32
+    pool = _hash(pool, _MIX_KEYS[:, :4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hash(pool[src], _MIX_KEYS[:, 4 + 3 * src : 7 + 3 * src])
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    # generate_state(4, uint64): eight hashed pool words, paired little-endian.
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_KEYS).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = state[0::2] | (state[1::2] << 32)
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    x_lo = init_lo + inc_lo
+    return np.array([[init_hi + inc_hi + (x_lo < inc_lo), inc_hi], [x_lo, inc_lo]])
+
+
+@lru_cache(maxsize=None)
+def _pcg64_jumps(first: int, count: int):
+    """(A, B) with output t of PCG64 read from state A_t (initstate + inc) +
+    B_t inc mod 2**128, for t in [first, first + count), as high and low
+    limbs of shape (2, 1, count): the generator steps from state 0 by
+    s -> M s + inc, adds initstate after the first step and steps once more
+    before each output."""
+    a, b, columns = 1, 0, []
+    for t in range(first + count + 2):
+        if t >= first + 2:
+            columns.append((a, b))
+        a, b = a * _PCG64_MULT % 2**128, (b * _PCG64_MULT + 1) % 2**128
+    constants = np.array(columns, dtype=object).T[:, None, :]
+    return (constants >> 64).astype(np.uint64), (constants & 2**64 - 1).astype(np.uint64)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products of uint64 arrays, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    cross0, cross1 = a0 * b1, a1 * b0
+    carry = ((a0 * b0) >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32)
+
+
+def _pcg64_words(starts: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Outputs [first, first + count) of each generator of ``starts`` (see
+    :func:`_pcg64_starts`), shape (generators, count) uint64."""
+    hi, lo = starts[..., None]
+    const_hi, const_lo = _pcg64_jumps(first, count)
+    # Both products A x and B inc at once, then their 128-bit sum.
+    prod_lo = const_lo * lo
+    prod_hi = _mulhi(const_lo, lo) + const_lo * hi + const_hi * lo
+    lo = prod_lo[0] + prod_lo[1]
+    hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])
+    # XSL RR: the xor of the halves, rotated right by the state's top 6 bits.
+    folded, turn = hi ^ lo, hi >> 58
+    return (folded >> turn) | (folded << ((64 - turn) & 63))
+
+
+def _lemire_digits(words: np.ndarray, n: int):
+    """Generator.integers(1, 10, size=n) from each row of ``words``: Lemire's
+    bounded draw on the 32-bit halves, low half first.  Also returns whether
+    each row accepts all n halves; numpy redraws a half whose product with 9
+    leaves a low word below 2**32 % 9 = 4, which the row's words cannot follow."""
+    halves = np.stack([words & _MASK32, words >> 32], axis=-1).reshape(len(words), -1)[:, :n]
+    scaled = halves * 9
+    return (scaled >> 32) + 1, np.all(scaled & _MASK32 >= 4, axis=1)
+
+
+def _uniforms(words: np.ndarray, level: float) -> np.ndarray:
+    """Generator.uniform(-level, level) from each word: its top 53 bits as a
+    double in [0, 1), scaled to the interval."""
+    return -level + (2.0 * level) * ((words >> 11) * 2.0**-53)
+
+
+@lru_cache(maxsize=None)
+def _check_streams() -> None:
+    """Raise RuntimeError unless the array substreams equal numpy's own
+    Generator on one replication.  NEP 19 lets a numpy release change what
+    Generator.integers and .uniform make of a stream; results must not change
+    with it unnoticed."""
+    seed, r, n, count = 2**64 - 1, 2**32 + 5, 5, 16
+    rng = np.random.default_rng([seed, r])
+    words = _pcg64_words(_pcg64_starts(seed, np.array([r], np.uint64)), 0, 3 + count)
+    digits, accepted = _lemire_digits(words[:, :3], n)
+    if not (accepted[0] and np.array_equal(digits[0], rng.integers(1, 10, size=n))
+            and np.array_equal(_uniforms(words[0, 3:], 0.6), rng.uniform(-0.6, 0.6, size=count))):
+        raise RuntimeError(
+            f"numpy {np.__version__} draws default_rng streams unlike paircomp's array "
+            "draw; simulate would not reproduce its results"
+        )
 
 
 def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     """Perturbed d1 values, one row per replication, columns in pair order:
-    bitwise the scalar path of :func:`perturb_data` on substream (seed, r)."""
+    bitwise the scalar path of :func:`perturb_data` on substream (seed, r).
+
+    The substreams are computed in arrays: each row's n integers, a block of
+    one offset per pair and, for a row whose block has a rejected offset, a
+    second block to replay it from.  A row leaves the arrays for its own
+    Generator when an integer draw is rejected or its replay outruns the
+    second block; it is then drawn on the scalar path from the start."""
+    _check_streams()
     n, level, epsilon = config.n, config.perturb, config.epsilon
     ii, jj = np.array(pair_order(n), dtype=np.intp).T
-    rngs = [np.random.default_rng([config.seed, r]) for r in range(start, stop)]
-    counts = np.array([rng.integers(1, 10, size=n) for rng in rngs], dtype=float)
+    heads = (n + 1) // 2  # outputs whose 32-bit halves make the n integers
+    starts = _pcg64_starts(config.seed, np.arange(start, stop, dtype=np.uint64))
+    words = _pcg64_words(starts, 0, heads + (len(ii) if level else 0))
+    digits, accepted = _lemire_digits(words[:, :heads], n)
+    counts = digits.astype(float)
+
+    def own_stream(row):
+        rng = np.random.default_rng([config.seed, start + int(row)])
+        return rng, rng.integers(1, 10, size=n)
+
+    scalar = {}
+    for row in np.flatnonzero(~accepted):
+        scalar[row], counts[row] = own_stream(row)
     logs = np.log(counts / counts.sum(axis=1, keepdims=True))
     m = logs - logs[:, :1]
     exact = config.model.cdf(m[:, jj] - m[:, ii])
     if not level:
         return exact
     _check_reachable(exact, level, epsilon)  # F(ln 9) in the config can round low
-    offsets = np.array([rng.uniform(-level, level, size=len(ii)) for rng in rngs])
+    offsets = _uniforms(words[:, heads:], level)
     d1 = exact + offsets
-    # Replay a row with a rejected draw on the scalar path, its block of offsets
-    # first and then fresh draws from its own generator: a stream gives the same
+    # Replay a row with a rejected offset pair by pair: a stream gives the same
     # values one at a time as in a block, so accepted pairs come back unchanged.
-    for row in np.flatnonzero(np.any((d1 <= epsilon) | (d1 >= 1.0 - epsilon), axis=1)):
-        fresh = iter(partial(rngs[row].uniform, -level, level), None)
-        d1[row] = _redraw(exact[row], epsilon, chain(offsets[row], fresh))
+    replay = np.flatnonzero(np.any((d1 <= epsilon) | (d1 >= 1.0 - epsilon), axis=1) & accepted)
+    second = _uniforms(_pcg64_words(starts[..., replay], heads + len(ii), len(ii)), level)
+    for row, base, block, more in zip(
+        replay, exact[replay].tolist(), offsets[replay].tolist(), second.tolist()
+    ):
+        try:
+            d1[row] = _redraw(base, epsilon, chain(block, more))
+        except StopIteration:
+            scalar[row], _ = own_stream(row)
+    for row, rng in scalar.items():
+        d1[row] = _redraw(exact[row], epsilon, iter(partial(rng.uniform, -level, level), None))
     return d1
+
+
+# ---------------------------------------------------------------------------
+# The experiment
 
 
 @lru_cache(maxsize=None)

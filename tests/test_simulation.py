@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -37,12 +38,18 @@ from paircomp import (
 )
 from paircomp.estimators import _newton_rows, _pair_data
 from paircomp.graphs import pair_order
+from paircomp import simulation
 from paircomp.simulation import (
+    _PCG64_MULT,
     BATCH_ROWS,
     MEASURE_NAMES,
     _block_bounds,
+    _check_streams,
     _draw_rows,
+    _lemire_digits,
     _measure_rows,
+    _pcg64_starts,
+    _pcg64_words,
     _solve_chunk,
     _structure_mask,
     worker_count,
@@ -167,6 +174,56 @@ def reference_draw_rows(config: SimulationConfig, start: int, stop: int) -> np.n
     return rows
 
 
+class CountingRng:
+    """Wraps a Generator, counting the uniform draws taken from it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.uniforms = rng, 0
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self.uniforms += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def uniforms_drawn(config: SimulationConfig, r: int) -> int:
+    """Uniform draws the scalar path takes to perturb replication r."""
+    rng = CountingRng(np.random.default_rng([config.seed, r]))
+    complete = ComparisonGraph.complete(config.n)
+    m0 = m_from_weights(draw_initial_weights(rng, config.n))
+    perturb_data(exact_probabilities(m0, complete, config.model), config.perturb, rng, config.epsilon)
+    return rng.uniforms
+
+
+def generator_whose_next_output_is(word: int) -> np.random.Generator:
+    """A PCG64 Generator whose next 64-bit output is ``word``: the state it
+    steps to has a high limb of 0, so XSL RR returns the low limb as it is."""
+    inc = 1
+    bits = np.random.PCG64()
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (word - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
+
+
+def record_generators(monkeypatch) -> list:
+    """Record the seed of every Generator default_rng builds from now on.
+    The stream check runs first, so that its one build per process is not
+    counted."""
+    _check_streams()
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: built.append(seed) or default_rng(seed)
+    )
+    return built
+
+
 class TestChunkDraw:
     @pytest.mark.parametrize(
         "n, model, level, bounds, epsilon",
@@ -202,17 +259,30 @@ class TestChunkDraw:
         rejected = (block <= config.epsilon) | (block >= 1.0 - config.epsilon)
         assert rejected.any(axis=1).sum() >= 10
 
-    def test_draw_builds_one_generator_per_replication(self, monkeypatch):
-        # At level 0.6 most rows reject a block draw; their replay continues
-        # on the row's own generator instead of building a second one.
-        built = []
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(
-            np.random, "default_rng", lambda seed: built.append(seed) or default_rng(seed)
-        )
-        config = SimulationConfig(n=5, perturb=0.6, num_sims=24, seed=13)
-        _draw_rows(config, 0, 24)
-        assert built == [[13, r] for r in range(24)]
+    @pytest.mark.parametrize(
+        "n, model, level, rows, falls_back",
+        [
+            (4, ModelKind.LOGISTIC, 0.15, 200, False),
+            (5, ModelKind.NORMAL, 0.0, 200, False),
+            (5, ModelKind.NORMAL, 0.6, 60, True),
+        ],
+    )
+    def test_only_rows_that_fall_back_build_a_generator(
+        self, monkeypatch, n, model, level, rows, falls_back
+    ):
+        # A row is drawn in arrays unless its replay needs more offsets than
+        # its block and a second block hold (or an integer draw is rejected,
+        # 4 in 2**32 per integer, which these seeds never meet); each row that
+        # falls back builds its own Generator once.
+        config = SimulationConfig(n=n, perturb=level, num_sims=rows, seed=2024, model=model)
+        pairs = n * (n - 1) // 2
+        expected = [[2024, r] for r in range(rows) if uniforms_drawn(config, r) > 2 * pairs]
+        assert bool(expected) == falls_back
+        reference = reference_draw_rows(config, 0, rows)
+        built = record_generators(monkeypatch)
+        drawn = _draw_rows(config, 0, rows)
+        assert built == expected
+        assert np.array_equal(drawn, reference)
 
     def test_draw_refuses_a_window_missed_by_rounding(self):
         # Level 0.1 with epsilon 0.1998 leaves the config's F(ln 9), rounded to
@@ -228,6 +298,94 @@ class TestChunkDraw:
         expected = [[p in cls.member().edges for p in pair_order(n)]
                     for cls in enumerate_connected(n)]
         assert np.array_equal(_structure_mask(n), np.array(expected))
+
+
+class TestSubstreamKernel:
+    """The array substreams of _draw_rows against numpy's own Generator."""
+
+    @pytest.mark.parametrize("level", [0.0, 0.15, 0.6])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_draw_matches_the_scalar_path_for_every_seed_width(self, seed, n, model, level):
+        # Seeds below 2**32 are one entropy word, the others two.
+        config = SimulationConfig(n=n, perturb=level, num_sims=30, seed=seed, model=model)
+        assert np.array_equal(_draw_rows(config, 0, 30), reference_draw_rows(config, 0, 30))
+
+    @pytest.mark.parametrize("seed", [7, 2**64 - 1])
+    def test_a_block_across_two_word_replication_indices(self, seed):
+        # r = 2**32 is the first replication index of two entropy words.
+        config = SimulationConfig(n=5, perturb=0.6, num_sims=10, seed=seed, model=ModelKind.NORMAL)
+        bounds = (2**32 - 2, 2**32 + 2)
+        assert np.array_equal(_draw_rows(config, *bounds), reference_draw_rows(config, *bounds))
+
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    def test_raw_outputs_match_the_bit_generator(self, seed):
+        reps = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        words = _pcg64_words(_pcg64_starts(seed, np.array(reps, np.uint64)), 3, 9)
+        for r, row in zip(reps, words):
+            bits = np.random.default_rng([seed, r]).bit_generator
+            assert np.array_equal(row, bits.random_raw(12)[3:])
+
+    # Low 32-bit halves whose product with 9 leaves 0, 3, 4 and 2**32 - 9 in
+    # the low word: numpy redraws below 2**32 % 9 = 4.
+    @pytest.mark.parametrize(
+        "half, accepted",
+        [(0, False), (3 * pow(9, -1, 2**32), False), (4 * pow(9, -1, 2**32), True),
+         (2**32 - 1, True)],
+    )
+    def test_lemire_rejects_as_numpy_does(self, half, accepted):
+        word = (2**32 - 1) << 32 | half % 2**32
+        rng = generator_whose_next_output_is(word)
+        integers = rng.integers(1, 10, size=2)
+        # Both halves accepted: one output taken, so the state is the one stepped to.
+        assert (rng.bit_generator.state["state"]["state"] == word) == accepted
+        digits, ok = _lemire_digits(np.array([[word]], np.uint64), 2)
+        assert ok.tolist() == [accepted]
+        if accepted:
+            assert np.array_equal(digits[0], integers)
+
+    def test_a_rejected_integer_draw_falls_back_to_the_scalar_path(self, monkeypatch):
+        # Zero the integer word of row 2, a rejected draw: the row must come
+        # from its own Generator, which still gives numpy's values.
+        config = SimulationConfig(n=4, perturb=0.15, num_sims=8, seed=5)
+        reference = reference_draw_rows(config, 10, 18)
+        words = simulation._pcg64_words
+
+        def rejected_in_row_2(starts, first, count):
+            out = words(starts, first, count)
+            if first == 0:
+                out[2, 0] = 0
+            return out
+
+        monkeypatch.setattr(simulation, "_pcg64_words", rejected_in_row_2)
+        built = record_generators(monkeypatch)
+        drawn = _draw_rows(config, 10, 18)
+        assert built == [[5, 12]]
+        assert np.array_equal(drawn, reference)
+
+    def test_guard_refuses_a_numpy_that_draws_differently(self, monkeypatch):
+        # Stands in for a numpy release whose Generator streams changed.
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: default_rng([0, *seed]))
+        _check_streams.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__}")):
+                _draw_rows(SimulationConfig(n=4, perturb=0.15, num_sims=4, seed=1), 0, 4)
+        finally:
+            _check_streams.cache_clear()
+
+    def test_guard_runs_on_first_use_not_at_import(self):
+        code = (
+            "import paircomp, paircomp.simulation as s\n"
+            "before = s._check_streams.cache_info().currsize\n"
+            "s._draw_rows(s.SimulationConfig(n=3, perturb=0.1, num_sims=2, seed=1), 0, 2)\n"
+            "print(before, s._check_streams.cache_info().currsize)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(paircomp.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        assert out.split() == ["0", "1"]
 
 
 class TestSimilarity:
