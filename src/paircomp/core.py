@@ -7,12 +7,14 @@ them, the cycle-product consistency tests, and the strong-connectivity
 existence condition for maximum likelihood evaluation.
 
 Items are indexed 0..n-1 throughout the in-memory API; file formats use
-1-based labels (see :mod:`paircomp.fileio`).
+1-based labels (see :mod:`paircomp.fileio`).  This module owns the order of
+pairs, :func:`pair_order`; :mod:`paircomp.graphs` owns the edge-code bits.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -61,6 +63,12 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+@functools.lru_cache(maxsize=8)  # bounded, as files may give any n
+def pair_order(n: int) -> tuple[tuple[int, int], ...]:
+    """All pairs (i, j), 0 <= i < j < n, in lexicographic order."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
 def _check_pair(pair: tuple[int, int], n: int) -> tuple[int, int]:
     i, j = pair
     if not (0 <= i < j < n):
@@ -90,7 +98,7 @@ class ComparisonGraph:
 
     @classmethod
     def complete(cls, n: int) -> "ComparisonGraph":
-        return cls(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return cls(n, pair_order(n))
 
     @property
     def edge_count(self) -> int:
@@ -241,10 +249,7 @@ class IPCM:
     def from_weight_ratios(cls, weights: "WeightVector") -> "IPCM":
         """Complete consistent matrix of coordinate ratios w_i / w_j."""
         w = weights.values
-        n = len(w)
-        return cls.from_upper(
-            n, {(i, j): w[i] / w[j] for i in range(n) for j in range(i + 1, n)}
-        )
+        return cls.from_upper(len(w), {(i, j): w[i] / w[j] for i, j in pair_order(len(w))})
 
     def known_pairs(self) -> tuple[tuple[int, int], ...]:
         """Known unordered pairs (i < j), sorted."""

@@ -42,6 +42,7 @@ from .core import (
     ModelKind,
     WeightVector,
     ford_condition,
+    pair_order,
 )
 from .errors import DisconnectedGraph, FordViolation, NoConvergence
 
@@ -80,8 +81,7 @@ class MleResult:
 
 def _pair_data(data: DataMatrix):
     pairs = data.sorted_pairs()
-    ii = np.array([p[0] for p in pairs], dtype=np.intp)
-    jj = np.array([p[1] for p in pairs], dtype=np.intp)
+    ii, jj = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     d1 = np.array([data.entries[p][0] for p in pairs])
     d2 = np.array([data.entries[p][1] for p in pairs])
     return ii, jj, d1, d2
@@ -319,8 +319,11 @@ def bt_mle(
 
     Requires the Ford condition (strongly connected directed comparison
     graph), which is necessary and sufficient for a unique maximum.
-    Real-valued amounts are fine; only ratios matter.
+    Real-valued amounts are fine; only ratios matter.  The fit stops when
+    the full Newton step's max norm is below ``tol`` > 0; ``max_iter`` >= 1.
     """
+    if not (tol > 0.0 and max_iter >= 1):
+        raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     if not ford_condition(data):
         raise FordViolation(
             "directed comparison graph is not strongly connected; the MLE "
@@ -386,11 +389,7 @@ def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
     matrix, its Perron root and right Perron vector (summing to 1), and the
     number of Newton steps."""
     n = pcm.n
-    known = set(pcm.known_pairs())
-    ii, jj = np.array(
-        [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in known],
-        dtype=np.intp,
-    ).T
+    ii, jj = np.array([p for p in pair_order(n) if p not in pcm.entries], dtype=np.intp).T
     base, eye = pcm.as_array(missing=1.0), np.eye(n)
 
     def completed(tv):
@@ -468,8 +467,11 @@ def em(
     after ``max_iter`` steps.  The eigenpair comes from the dense
     eigendecomposition and must pass the residual test
     ||A w - lambda w||_inf <= eig_tol * max(1, ||A w||_inf), or
-    :class:`NoConvergence` is raised.
+    :class:`NoConvergence` is raised.  Tolerances are >= 0, ``max_iter`` >= 1.
     """
+    if not (eig_tol >= 0.0 and completion_tol >= 0.0 and max_iter >= 1):
+        raise ValueError("need eig_tol, completion_tol >= 0 and max_iter >= 1, got "
+                         f"eig_tol={eig_tol}, completion_tol={completion_tol}, max_iter={max_iter}")
     if not pcm.representing_graph().is_connected():
         raise DisconnectedGraph("eigenvector method needs a connected graph")
     if pcm.n == 1:

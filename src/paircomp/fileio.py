@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, TextIO, get_type_hints
 
-from .core import IPCM, DataMatrix, ModelKind, RECIPROCITY_TOL
+from .core import IPCM, DataMatrix, ModelKind, RECIPROCITY_TOL, pair_order
 from .errors import (
     BadDiagonal,
     BadHeader,
@@ -169,23 +169,22 @@ def parse_pcm(
                 raise NonPositiveEntry(f"{where}: ratios must be positive and finite")
             raw[(i, j)] = value
     entries: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            upper, lower = raw.get((i, j)), raw.get((j, i))
-            if upper is None and lower is None:
-                continue
-            if upper is None or lower is None:
-                raise NotReciprocal(
-                    f"cells ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}): one side is missing"
-                )
-            if abs(upper * lower - 1.0) > reciprocity_tol:
-                raise NotReciprocal(
-                    f"cells ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) are not reciprocal"
-                )
-            if abs(upper * lower - 1.0) > RECIPROCITY_TOL:
-                lower = 1.0 / upper
-            entries[(i, j)] = upper
-            entries[(j, i)] = lower
+    for i, j in pair_order(n):
+        upper, lower = raw.get((i, j)), raw.get((j, i))
+        if upper is None and lower is None:
+            continue
+        if upper is None or lower is None:
+            raise NotReciprocal(
+                f"cells ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}): one side is missing"
+            )
+        if abs(upper * lower - 1.0) > reciprocity_tol:
+            raise NotReciprocal(
+                f"cells ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) are not reciprocal"
+            )
+        if abs(upper * lower - 1.0) > RECIPROCITY_TOL:
+            lower = 1.0 / upper
+        entries[(i, j)] = upper
+        entries[(j, i)] = lower
     return IPCM(n, entries)
 
 

@@ -7,8 +7,10 @@ permutation scan (at most 8! relabelings) is fast and easy to verify, so no
 general canonical-labeling algorithm is used.  One cached table per n holds
 the image of every pair under every permutation; canonical codes and the
 catalog's orbit marking both read a graph's relabelings from it.
-This module owns how files and reports spell a class: its label ``g<id>``
-(:func:`format_label`, :func:`parse_label`) and :attr:`GraphClass.code_hex`.
+This module owns the edge-code bits (pair s of :func:`~paircomp.core.pair_order`
+is bit k - 1 - s of k, the first pair most significant) and how files and
+reports spell a class: its label ``g<id>`` (:func:`format_label`,
+:func:`parse_label`) and :attr:`GraphClass.code_hex`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import ComparisonGraph, _breadth_first
+from .core import ComparisonGraph, _breadth_first, pair_order
 from .errors import DisconnectedGraph, TooLarge
 
 #: Largest vertex count accepted by the permutation-scan canonical code.
@@ -27,12 +29,6 @@ MAX_CANONICAL_N = 8
 
 #: Largest vertex count of the enumerated catalog.
 MAX_CATALOG_N = 6
-
-
-def pair_order(n: int) -> tuple[tuple[int, int], ...]:
-    """All vertex pairs (i < j) in lexicographic order; pair k corresponds to
-    bit k of an edge bitstring, most significant bit first."""
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 @functools.cache
@@ -201,14 +197,9 @@ def single_edge_extensions(a: GraphClass, b: GraphClass) -> bool:
     of class ``b``."""
     if a.n != b.n or b.edge_count != a.edge_count + 1:
         return False
-    base = a.member()
-    for pair in pair_order(a.n):
-        if pair in base.edges:
-            continue
-        extended = ComparisonGraph(a.n, set(base.edges) | {pair})
-        if canonical_code(extended) == b.canonical_code:
-            return True
-    return False
+    bits = _pairs_of(a.n, a.canonical_code)
+    absent = (s for s in range(len(pair_order(a.n))) if s not in bits)
+    return any(_relabelings(a.n, bits + [s]).min() == b.canonical_code for s in absent)
 
 
 @functools.cache

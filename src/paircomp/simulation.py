@@ -33,9 +33,9 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 from scipy.special import ndtri
 
-from .core import DataMatrix, ExpectedValueVector, ModelKind, WeightVector
+from .core import DataMatrix, ExpectedValueVector, ModelKind, WeightVector, pair_order
 from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows, _softmax_rows
-from .graphs import GraphClass, enumerate_connected, is_ascii_digits, pair_order
+from .graphs import GraphClass, enumerate_connected, is_ascii_digits
 
 #: Measure column names, in canonical order.
 MEASURE_NAMES = ("eu_m", "eu_w", "pe_m", "pe_w", "rho", "tau")
@@ -259,7 +259,7 @@ def error_bound(num_sims: int, alpha: float, sigma: float) -> float:
         raise ValueError("need at least one replication")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     return float(ndtri(1.0 - alpha / 2.0)) * sigma / math.sqrt(num_sims)
 
@@ -448,10 +448,10 @@ def _draw_rows(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _structure_mask(n: int) -> np.ndarray:
-    """present[g, s]: bit k - 1 - s of class g's code, set iff g has pair s
-    (read-only, as it is shared)."""
-    codes = np.array([cls.canonical_code for cls in enumerate_connected(n)])
-    present = (codes[:, None] >> np.arange(n * (n - 1) // 2)[::-1]) & 1 == 1
+    """present[g, s]: whether class g's member has pair s of
+    :func:`pair_order` (read-only, as it is shared)."""
+    present = np.array([[p in cls.member().edges for p in pair_order(n)]
+                        for cls in enumerate_connected(n)])
     present.flags.writeable = False
     return present
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,19 @@ class TestEm:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraph):
             em(IPCM.from_upper(3, {(0, 1): 2.0}))
+
+    @pytest.mark.parametrize("name, value", [
+        ("eig_tol", -1e-12), ("eig_tol", math.nan), ("completion_tol", -1e-12),
+        ("completion_tol", math.nan), ("max_iter", 0), ("max_iter", -3),
+    ])
+    def test_bad_solver_settings_are_refused(self, ratios_incomplete, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name}={value}")):
+            em(ratios_incomplete, **{name: value})
+
+    def test_zero_completion_tolerance_is_allowed(self, ratios_incomplete):
+        # The completion then stops where log lambda_max is flat to rounding.
+        result = em(ratios_incomplete, completion_tol=0.0)
+        assert_allclose(result.weights.values, em(ratios_incomplete).weights.values, atol=1e-9)
 
     def test_ratio_matrix_of_weights_is_recovered_by_both_methods(self):
         rng = np.random.default_rng(67)
@@ -441,6 +455,14 @@ class TestBtMle:
     def test_iteration_cap_raises(self, probs_modified):
         with pytest.raises(NoConvergence):
             bt_mle(probs_modified, max_iter=2)
+
+    @pytest.mark.parametrize("name, value", [
+        ("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("max_iter", 0), ("max_iter", -5),
+    ])
+    def test_bad_solver_settings_are_refused(self, probs_modified, name, value):
+        # tol = 0 would never be met: the fit would run all max_iter steps.
+        with pytest.raises(ValueError, match=re.escape(f"{name}={value}")):
+            bt_mle(probs_modified, **{name: value})
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     def test_converged_means_zero_gradient(self, model):

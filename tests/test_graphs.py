@@ -242,6 +242,21 @@ class TestSingleEdgeExtensions:
         for cls in enumerate_connected(4):
             assert not single_edge_extensions(cls, cls)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_brute_force_on_every_pair_of_classes(self, n):
+        # Both answers, True and False: b extends a exactly when growing a's
+        # member by one of its missing pairs gives a graph with b's code.
+        classes = enumerate_connected(n)
+        for a in classes:
+            member = a.member()
+            grown = {
+                canonical_code(ComparisonGraph(n, member.edges | {pair}))
+                for pair in pair_order(n)
+                if pair not in member.edges
+            }
+            for b in classes:
+                assert single_edge_extensions(a, b) == (b.canonical_code in grown)
+
     def test_constructive_check(self):
         # Whenever the relation holds, adding some edge must really produce
         # an isomorph of the target.

@@ -299,6 +299,14 @@ class TestChunkDraw:
                     for cls in enumerate_connected(n)]
         assert np.array_equal(_structure_mask(n), np.array(expected))
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_structure_mask_rows_spell_the_class_codes(self, n):
+        # Each row, read with the first pair as the most significant bit, is
+        # its class's canonical code.  The mask is shared, so it is read-only.
+        assert not _structure_mask(n).flags.writeable
+        for row, cls in zip(_structure_mask(n), enumerate_connected(n)):
+            assert int("".join("1" if bit else "0" for bit in row), 2) == cls.canonical_code
+
 
 class TestSubstreamKernel:
     """The array substreams of _draw_rows against numpy's own Generator."""
@@ -505,6 +513,8 @@ class TestErrorBound:
             error_bound(10, 1.5, 1.0)
         with pytest.raises(ValueError):
             error_bound(10, 0.01, -1.0)
+        with pytest.raises(ValueError):
+            error_bound(100, 0.05, math.nan)
 
 
 def chunk_newton(config: SimulationConfig):
