@@ -9,19 +9,22 @@
 
 Solver choices: LLSM, the likelihoods' least-squares start and every Newton
 step solve the same system, a weighted graph Laplacian grounded at m_1 = 0,
-assembled by one batched scatter plan.  Both likelihoods are concave and
-maximized by one batched damped Newton solver, whose Hessian is the
-Laplacian weighted by the curvature of ln F on each pair; it converges when
-the full Newton step is below the tolerance, which bounds the error because
-convergence is quadratic near the optimum.  It starts from the least-squares solution of
-F^-1(d2 / (d1 + d2)) = m_i - m_j, a unit-weight solve: on consistent data
-every equation holds exactly, and the paper shows the least-squares and
-likelihood optima then coincide, so the start is the MLE; under noise it is
-close to it.  The eigenvalue completion minimizes
-log lambda_max, which is convex in the logs of the missing entries with a
-unique optimum on connected comparison graphs, by damped Newton with the
-exact Perron gradient and Hessian; each iterate's eigenpair comes from one
-dense eigendecomposition.
+assembled by one batched scatter plan: one sum gives the degrees, and each
+pair's weight, negated, fills its two off-diagonal cells.  Both likelihoods
+are concave and maximized by one batched damped Newton solver, whose Hessian
+is the Laplacian weighted by the curvature of ln F on each pair.  Each point
+it visits is evaluated once: the link's special functions there give both
+the log-likelihood its line search compares and the derivatives of the next
+step.  It converges when the full Newton step is below the tolerance, which
+bounds the error because convergence is quadratic near the optimum.  It
+starts from the least-squares solution of F^-1(d2 / (d1 + d2)) = m_i - m_j,
+a unit-weight solve: on consistent data every equation holds exactly, and
+the paper shows the least-squares and likelihood optima then coincide, so
+the start is the MLE; under noise it is close to it.  The eigenvalue
+completion minimizes log lambda_max, which is convex in the logs of the
+missing entries with a unique optimum on connected comparison graphs, by
+damped Newton with the exact Perron gradient and Hessian; each iterate's
+eigenpair comes from one dense eigendecomposition.
 
 All iteration is in lexicographic pair order, so results are reproducible
 bit for bit.
@@ -106,20 +109,28 @@ def log_likelihood(data: DataMatrix, m: ExpectedValueVector, model: ModelKind) -
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _pair_derivatives(delta, d1, d2, model: ModelKind):
-    """Slope and negated curvature in delta = m_i - m_j of each pair's term
-    d1 ln F(-delta) + d2 ln F(delta).  With s = F'/F, -(ln F)'' is p(1 - p)
-    for the logistic (even in delta) and s(delta + s) for the normal: both are
-    positive, so the reduced Laplacian they weight is definite on connected graphs."""
+def _pair_terms(delta, d1, d2, model: ModelKind, searched):
+    """One evaluation of each row's point, from its pair differences
+    delta = m_i - m_j: the log-likelihood of the rows ``searched`` (an index
+    or a slice), and every pair's slope and negated curvature in delta of
+    its term d1 ln F(-delta) + d2 ln F(delta).  With s = F'/F, -(ln F)'' is
+    p(1 - p) for the logistic (even in delta) and s(delta + s) for the
+    normal: both are positive, so the reduced Laplacian they weight is
+    definite on connected graphs."""
+    d1s, d2s = d1[searched], d2[searched]
     if model is ModelKind.LOGISTIC:
+        loglik = _loglik_rows(delta[searched], d1s, d2s, model)
         s_pos, s_neg = model.cdf(-delta), model.cdf(delta)
-        return d2 * s_pos - d1 * s_neg, (d1 + d2) * s_pos * s_neg
-    # Mills ratios phi(x) / Phi(x) at x = +-delta, stable for very negative x;
-    # ln phi is the same at both.
+        return loglik, d2 * s_pos - d1 * s_neg, (d1 + d2) * s_pos * s_neg
+    # ln Phi(+-delta) give the log-likelihood and the Mills ratios
+    # phi(x) / Phi(x) at x = +-delta, stable for very negative x; ln phi is
+    # the same at both.
+    log_pos, log_neg = log_ndtr(delta), log_ndtr(-delta)
+    loglik = (d1s * log_neg[searched] + d2s * log_pos[searched]).sum(axis=1)
     log_phi = -0.5 * delta * delta - _LOG_SQRT_2PI
-    s_pos, s_neg = np.exp(log_phi - log_ndtr(delta)), np.exp(log_phi - log_ndtr(-delta))
+    s_pos, s_neg = np.exp(log_phi - log_pos), np.exp(log_phi - log_neg)
     up, down = d2 * s_pos, d1 * s_neg
-    return up - down, up * (delta + s_pos) + down * (s_neg - delta)
+    return loglik, up - down, up * (delta + s_pos) + down * (s_neg - delta)
 
 
 class _Incidence:
@@ -133,12 +144,13 @@ class _Incidence:
 
     def __init__(self, ii, jj, n, rows):
         self.ii, self.jj, self.n = ii, jj, n
-        row = np.arange(rows)[:, None]
-        self._vertex_bins = (row * n + np.concatenate([jj, ii])).ravel()
-        # Laplacian cell (a, b) of a row sits at a n + b of its n * n bins;
-        # the grounded row and column of vertex 1 are left out after the sum.
-        a, b = np.concatenate([jj, ii, ii, jj]), np.concatenate([jj, ii, jj, ii])
-        self._laplacian_bins = (row * (n * n) + a * n + b).ravel()
+        row, vertex = np.arange(rows)[:, None], np.concatenate([jj, ii])
+        self._vertex_bins = (row * n + vertex).ravel()
+        # Laplacian cell (a, b) of a row sits at a n + b of its n * n bins.
+        # The degrees add each vertex's weights in the order of the vertex
+        # sums; an off-diagonal cell holds the one weight of its pair.
+        self._degree_bins = (row * (n * n) + vertex * (n + 1)).ravel()
+        self._pair_cells = (row * (n * n) + np.concatenate([ii * n + jj, jj * n + ii])).ravel()
         # x @ P gives the differences: column s of P holds +1 at ii[s] and -1
         # at jj[s] (none at vertex 1), so each sum has at most two nonzero
         # terms and is exact in any order.  At simulate's shapes (n <= 6) it
@@ -170,15 +182,20 @@ class _Incidence:
         sums = np.bincount(self._vertex_bins[: terms.size], terms, rows * self.n)
         return sums.reshape(rows, self.n)
 
+    def laplacian(self, weights):
+        """Graph Laplacians weighting pair s by weights[:, s], shape (rows, n, n)."""
+        rows, n = len(weights), self.n
+        terms = np.concatenate([weights, weights], axis=1).ravel()
+        laplacian = np.bincount(self._degree_bins[: terms.size], terms, rows * n * n)
+        # 0 - w is the one-term sum of the cell from zero, signed zero included.
+        laplacian[self._pair_cells[: terms.size]] = np.subtract(0.0, terms)
+        return laplacian.reshape(rows, n, n)
+
     def solve(self, weights, rhs):
         """Solve L x = rhs, one system per row of rhs (rows, n - 1): L is the
-        graph Laplacian weighting pair s by weights[:, s], with the row and
-        column of vertex 1 (grounded at x_1 = 0) left out."""
-        rows, n = len(weights), self.n
-        negated = -weights
-        values = np.concatenate([weights, weights, negated, negated], axis=1).ravel()
-        laplacian = np.bincount(self._laplacian_bins[: values.size], values, rows * n * n)
-        return np.linalg.solve(laplacian.reshape(rows, n, n)[:, 1:, 1:], rhs[..., None])[..., 0]
+        :meth:`laplacian` with the row and column of vertex 1 (grounded at
+        x_1 = 0) left out."""
+        return np.linalg.solve(self.laplacian(weights)[:, 1:, 1:], rhs[..., None])[..., 0]
 
 
 def log_likelihood_gradient(
@@ -189,8 +206,9 @@ def log_likelihood_gradient(
     if len(m) != data.n:
         raise ValueError("expected value vector does not match item count")
     ii, jj, d1, d2 = _pair_data(data)
-    g_pair = _pair_derivatives(m.values[ii] - m.values[jj], d1, d2, model)[0]
-    return _Incidence(ii, jj, data.n, 1).vertex_sums(g_pair[None, :])[0]
+    delta = m.values[ii] - m.values[jj]
+    g_pair = _pair_terms(delta[None, :], d1[None, :], d2[None, :], model, slice(0))[1]
+    return _Incidence(ii, jj, data.n, 1).vertex_sums(g_pair)[0]
 
 
 def _softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -264,41 +282,62 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
 
     The iteration runs on x = m[:, 1:].  Rows still iterating are kept as a
     prefix of the working arrays, which are compacted only when a row stops.
+    Each point is evaluated once (:func:`_pair_terms`): the terms of the
+    point a row moves to are its next derivatives, and its log-likelihood is
+    computed only where the step was searched.
     """
     rows = d1.shape[0]
     plan = _Incidence(ii, jj, n, rows)
     m = _least_squares_start(d1, d2, model, plan)
     x = m[:, 1:]
-    current = _loglik_rows(plan.differences(x), d1, d2, model)
+    current, g_pair, h_pair = _pair_terms(plan.differences(x), d1, d2, model, slice(None))
     iterations = np.zeros(rows, dtype=np.intp)
     active = np.arange(rows)
     threshold = len(ii) * np.finfo(float).eps
     for step in range(1, max_iter + 1):
-        g_pair, h_pair = _pair_derivatives(plan.differences(x), d1, d2, model)
         grad = plan.vertex_sums(g_pair)[:, 1:]
         direction = plan.solve(h_pair, grad)
         # Take the full step where the ascent it promises (half the Newton
         # decrement) is below the rounding of the log-likelihood: there a
         # line search compares noise.  Elsewhere halve until it ascends.
         decrement = (grad * direction).sum(axis=1)
-        search = np.flatnonzero(0.5 * decrement > threshold * np.abs(current))
-        scale = np.ones(len(x))
-        for _ in range(60):
-            if search.size == 0:
+        searched = 0.5 * decrement > threshold * np.abs(current)
+        done = np.abs(direction).max(axis=1) < tol
+        moved = x + direction
+        # A row that stops on a full step it did not search takes it unevaluated.
+        final = done & ~searched
+        if final.any():
+            m[active[final], 1:] = moved[final]
+            iterations[active[final]] = step
+            going = ~final
+            active, x, moved, direction, d1, d2, current, searched, done = (
+                a[going] for a in (active, x, moved, direction, d1, d2, current, searched, done)
+            )
+            if active.size == 0:
                 break
-            trial = x[search] + scale[search, None] * direction[search]
-            value = _loglik_rows(plan.differences(trial), d1[search], d2[search], model)
+        search = np.flatnonzero(searched)
+        value, g_pair, h_pair = _pair_terms(plan.differences(moved), d1, d2, model, search)
+        # A halving trial is x + scale direction.  After 60 failed trials a
+        # row takes the next halving untested, evaluated for its derivatives.
+        for halvings in range(1, 61):
             ascended = value >= current[search]
             current[search[ascended]] = value[ascended]
             search = search[~ascended]
-            scale[search] *= 0.5
-        x = x + scale[:, None] * direction
-        done = np.abs(direction).max(axis=1) < tol
+            if search.size == 0:
+                break
+            moved[search] = x[search] + 0.5**halvings * direction[search]
+            value, g_pair[search], h_pair[search] = _pair_terms(
+                plan.differences(moved[search]), d1[search], d2[search], model,
+                slice(None) if halvings < 60 else slice(0),
+            )
+        x = moved
         if done.any():
             m[active[done], 1:] = x[done]
             iterations[active[done]] = step
             going = ~done
-            active, x, d1, d2, current = active[going], x[going], d1[going], d2[going], current[going]
+            active, x, d1, d2, current, g_pair, h_pair = (
+                a[going] for a in (active, x, d1, d2, current, g_pair, h_pair)
+            )
         if active.size == 0:
             break
     m[active, 1:] = x
@@ -352,9 +391,13 @@ def llsm(pcm: IPCM) -> WeightVector:
     (ln a_ij - ln(w_i / w_j))^2, via the graph-Laplacian normal equations
     with the first log-weight grounded at 0.  Unique when the representing
     graph is connected."""
-    graph = pcm.representing_graph()
-    if not graph.is_connected():
+    if not pcm.representing_graph().is_connected():
         raise DisconnectedGraph("logarithmic least squares needs a connected graph")
+    return _llsm_weights(pcm)
+
+
+def _llsm_weights(pcm: IPCM) -> WeightVector:
+    """:func:`llsm` of a matrix whose graph is known to be connected."""
     n = pcm.n
     if n == 1:
         return WeightVector(np.ones(1))
@@ -400,7 +443,7 @@ def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
 
     # Start from the least-squares completion: already optimal when the known
     # part is consistent, and a good neighborhood otherwise.
-    log_w = np.log(llsm(pcm).values)
+    log_w = np.log(_llsm_weights(pcm).values)
     t = log_w[ii] - log_w[jj]
     a = completed(t)
     lam, w = _perron_pair(a)
@@ -467,10 +510,11 @@ def em(
     after ``max_iter`` steps.  The eigenpair comes from the dense
     eigendecomposition and must pass the residual test
     ||A w - lambda w||_inf <= eig_tol * max(1, ||A w||_inf), or
-    :class:`NoConvergence` is raised.  Tolerances are >= 0, ``max_iter`` >= 1.
+    :class:`NoConvergence` is raised.  ``eig_tol`` > 0, as no floating-point
+    eigenpair meets a zero residual; ``completion_tol`` >= 0; ``max_iter`` >= 1.
     """
-    if not (eig_tol >= 0.0 and completion_tol >= 0.0 and max_iter >= 1):
-        raise ValueError("need eig_tol, completion_tol >= 0 and max_iter >= 1, got "
+    if not (eig_tol > 0.0 and completion_tol >= 0.0 and max_iter >= 1):
+        raise ValueError("need eig_tol > 0, completion_tol >= 0 and max_iter >= 1, got "
                          f"eig_tol={eig_tol}, completion_tol={completion_tol}, max_iter={max_iter}")
     if not pcm.representing_graph().is_connected():
         raise DisconnectedGraph("eigenvector method needs a connected graph")

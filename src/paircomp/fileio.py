@@ -18,6 +18,7 @@ import json
 import math
 import string
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Iterable, TextIO, get_type_hints
 
@@ -226,61 +227,72 @@ class ResultRow:
 
 RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
 _RESULT_TYPES = get_type_hints(ResultRow)
+#: One results line: floats with 17 significant digits (as :func:`_fmt`), the rest by str.
+_RESULT_LINE = ",".join("%.17g" if _RESULT_TYPES[name] is float else "%s"
+                        for name in RESULTS_HEADER) + "\n"
+_MODELS = frozenset(kind.value for kind in ModelKind)
+_HEX_DIGITS = frozenset(string.hexdigits)
 
 
-def results_rows(summary: SimulationSummary) -> list[ResultRow]:
+def _result_cells(summary: SimulationSummary, graph_id) -> list[tuple]:
+    """The cells of each results row in column order; ``graph_id(cls)`` gives
+    the graph_id cell of a structure class."""
     config = summary.config
     rows = []
     for cls in summary.classes:
+        structure = (config.n, config.perturb, config.model.value, graph_id(cls),
+                     cls.edge_count, cls.code_hex)
         for measure in MEASURE_NAMES:
             stats = summary.stats[(cls.id, measure)]
-            rows.append(
-                ResultRow(
-                    n=config.n,
-                    perturb=config.perturb,
-                    model=config.model.value,
-                    graph_id=cls.id,
-                    edges=cls.edge_count,
-                    canonical_code=cls.code_hex,
-                    measure=measure,
-                    mean=stats.mean,
-                    stddev=stats.stddev,
-                    num_sims=config.num_sims,
-                    excluded=config.num_sims - stats.count,
-                )
-            )
+            rows.append((*structure, measure, stats.mean, stats.stddev, config.num_sims,
+                         config.num_sims - stats.count))
     return rows
+
+
+def results_rows(summary: SimulationSummary) -> list[ResultRow]:
+    return [ResultRow(*cells) for cells in _result_cells(summary, lambda cls: cls.id)]
 
 
 def results_table(summary: SimulationSummary, as_json: bool = False) -> str:
     """The results table of a run, graph ids written as labels (g12)."""
-    labeled = ({**vars(r), "graph_id": format_label(r.graph_id)} for r in results_rows(summary))
-    return format_table(RESULTS_HEADER, [tuple(cells.values()) for cells in labeled], as_json)
+    table = _result_cells(summary, lambda cls: cls.label)
+    if as_json:
+        return format_table(RESULTS_HEADER, table, as_json)
+    return ",".join(RESULTS_HEADER) + "\n" + "".join(_RESULT_LINE % cells for cells in table)
 
 
 def write_results(summary: SimulationSummary, out: TextIO) -> None:
     out.write(results_table(summary))
 
 
-def _result_cell(name: str, cell: str, where: str):
-    """One results cell, parsed by the type of its :class:`ResultRow` field."""
-    if name == "graph_id":
-        try:
-            return parse_label(cell, name)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-    if _RESULT_TYPES[name] is int:
-        if not is_ascii_digits(cell):
-            raise ParseError(f"{where}: cannot parse {cell!r} as an integer")
-        return int(cell)
-    if _RESULT_TYPES[name] is float:
-        # NaN is legitimate in a statistic: a cell whose every replication was excluded.
-        return _parse_float(cell, where, nan_ok=name in ("mean", "stddev"))
-    if name == "measure" and cell not in MEASURE_NAMES:
-        raise ParseError(f"{where}: unknown measure {cell!r}")
-    if name == "model" and cell not in {kind.value for kind in ModelKind}:
-        raise ParseError(f"{where}: unknown model {cell!r}")
+def _parse_int(cell: str, where: str) -> int:
+    if not is_ascii_digits(cell):
+        raise ParseError(f"{where}: cannot parse {cell!r} as an integer")
+    return int(cell)
+
+
+def _parse_name(cell: str, where: str, what: str, names) -> str:
+    if cell not in names:
+        raise ParseError(f"{where}: unknown {what} {cell!r}")
     return cell
+
+
+def _parse_graph_id(cell: str, where: str) -> int:
+    try:
+        return parse_label(cell, "graph_id")
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+#: The parser of each results column, called as parse(cell, where).  NaN is
+#: legitimate in a statistic: a cell whose every replication was excluded.
+_RESULT_PARSERS = (
+    _parse_int, _parse_float, partial(_parse_name, what="model", names=_MODELS),
+    _parse_graph_id, _parse_int, lambda cell, where: cell,
+    partial(_parse_name, what="measure", names=MEASURE_NAMES),
+    partial(_parse_float, nan_ok=True), partial(_parse_float, nan_ok=True),
+    _parse_int, _parse_int,
+)
 
 
 def read_results(source: str | Path | TextIO) -> list[ResultRow]:
@@ -292,32 +304,31 @@ def read_results(source: str | Path | TextIO) -> list[ResultRow]:
         where = f"row {number}"
         if len(row) != len(RESULTS_HEADER):
             raise ParseError(f"{where}: expected {len(RESULTS_HEADER)} fields")
-        result = ResultRow(*(_result_cell(*pair, where) for pair in zip(RESULTS_HEADER, row)))
+        # In column order, so a row reports its first bad cell.
+        cells = [parse(cell, where) for parse, cell in zip(_RESULT_PARSERS, row)]
+        n, perturb, _, graph_id, edges, code, _, _, _, num_sims, excluded = cells
         # A run perturbs by a level in [0, 1) and excludes at most all of its replications.
-        if not 0.0 <= result.perturb < 1.0:
-            raise ParseError(f"{where}: perturb {result.perturb!r} is not in [0, 1)")
-        if result.num_sims < 1:
-            raise ParseError(f"{where}: num_sims must be at least 1, got {result.num_sims}")
-        if result.excluded > result.num_sims:
-            raise ParseError(f"{where}: excluded {result.excluded} exceeds num_sims "
-                             f"{result.num_sims}")
+        if not 0.0 <= perturb < 1.0:
+            raise ParseError(f"{where}: perturb {perturb!r} is not in [0, 1)")
+        if num_sims < 1:
+            raise ParseError(f"{where}: num_sims must be at least 1, got {num_sims}")
+        if excluded > num_sims:
+            raise ParseError(f"{where}: excluded {excluded} exceeds num_sims {num_sims}")
         # The code must be hex and name a graph on n vertices with `edges` edges.
-        code, k = result.canonical_code, result.n * (result.n - 1) // 2
-        value = int(code, 16) if code and set(code) <= set(string.hexdigits) else -1
-        if value < 0 or value.bit_length() > k or value.bit_count() != result.edges:
+        value = int(code, 16) if code and _HEX_DIGITS.issuperset(code) else -1
+        if value < 0 or value.bit_length() > n * (n - 1) // 2 or value.bit_count() != edges:
             raise ParseError(f"{where}: canonical_code {code!r} is not a code of a graph "
-                             f"on {result.n} vertices with {result.edges} edges")
+                             f"on {n} vertices with {edges} edges")
         # ... and be the code of the catalog class that graph_id names.
-        catalog = enumerate_connected(result.n) if 2 <= result.n <= MAX_CATALOG_N else ()
-        label = format_label(result.graph_id)
-        if not 1 <= result.graph_id <= len(catalog):
-            raise ParseError(f"{where}: {label} is not in the catalog of connected graphs "
-                             f"on {result.n} vertices")
-        entry = catalog[result.graph_id - 1]
+        catalog = enumerate_connected(n) if 2 <= n <= MAX_CATALOG_N else ()
+        if not 1 <= graph_id <= len(catalog):
+            raise ParseError(f"{where}: {format_label(graph_id)} is not in the catalog of "
+                             f"connected graphs on {n} vertices")
+        entry = catalog[graph_id - 1]
         if value != entry.canonical_code:
-            raise ParseError(f"{where}: canonical_code {code!r} is not the code of {label} "
-                             f"({entry.code_hex})")
-        parsed.append(result)
+            raise ParseError(f"{where}: canonical_code {code!r} is not the code of "
+                             f"{format_label(graph_id)} ({entry.code_hex})")
+        parsed.append(ResultRow(*cells))
     return parsed
 
 

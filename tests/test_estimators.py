@@ -31,6 +31,8 @@ from paircomp import (
     pcm_from_data,
     weights_from_m,
 )
+from paircomp import estimators
+from paircomp.core import pair_order
 from paircomp.estimators import (
     DEFAULT_COMPLETION_TOL,
     DEFAULT_MAX_ITER,
@@ -161,7 +163,7 @@ class TestEm:
             em(IPCM.from_upper(3, {(0, 1): 2.0}))
 
     @pytest.mark.parametrize("name, value", [
-        ("eig_tol", -1e-12), ("eig_tol", math.nan), ("completion_tol", -1e-12),
+        ("eig_tol", -1e-12), ("eig_tol", math.nan), ("eig_tol", 0.0), ("completion_tol", -1e-12),
         ("completion_tol", math.nan), ("max_iter", 0), ("max_iter", -3),
     ])
     def test_bad_solver_settings_are_refused(self, ratios_incomplete, name, value):
@@ -533,6 +535,101 @@ class TestBtMle:
                     )
             assert_allclose(llsm(pcm_from_data(data)).values[perm], base_llsm, atol=1e-10)
             assert_allclose(em(pcm_from_data(data)).weights.values[perm], base_em, atol=1e-7)
+
+
+def _league_rows(rng, n: int, rows: int):
+    """Comparison amounts on random connected graphs of n items, one row
+    each, over the complete pair list: a missing pair carries zeros."""
+    pairs = pair_order(n)
+    d1, d2 = np.zeros((rows, len(pairs))), np.zeros((rows, len(pairs)))
+    for r in range(rows):
+        present = [pairs.index(p) for p in random_connected_graph(rng, n).sorted_edges()]
+        d1[r, present] = rng.uniform(0.1, 2.0, size=len(present))
+        d2[r, present] = rng.uniform(0.1, 2.0, size=len(present))
+    ii, jj = np.array(pairs, dtype=np.intp).T
+    return d1, d2, ii, jj
+
+
+def _four_block_laplacian(ii, jj, n, weights):
+    """The weighted graph Laplacian as one scatter of all four cells of each
+    pair: (j, j), (i, i), then (i, j) and (j, i) negated."""
+    rows = len(weights)
+    a, b = np.concatenate([jj, ii, ii, jj]), np.concatenate([jj, ii, jj, ii])
+    bins = (np.arange(rows)[:, None] * (n * n) + a * n + b).ravel()
+    values = np.concatenate([weights, weights, -weights, -weights], axis=1).ravel()
+    return np.bincount(bins, values, rows * n * n).reshape(rows, n, n)
+
+
+class TestNewtonKernel:
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_each_point_is_evaluated_once(self, model, monkeypatch):
+        rng = np.random.default_rng(71)
+        terms, seen = estimators._pair_terms, []
+
+        def recorded(delta, d1, d2, model, searched):
+            seen.extend(
+                (a.tobytes(), b.tobytes(), point.tobytes()) for a, b, point in zip(d1, d2, delta)
+            )
+            return terms(delta, d1, d2, model, searched)
+
+        monkeypatch.setattr(estimators, "_pair_terms", recorded)
+        for n in (3, 4, 5, 6):
+            d1, d2, ii, jj = _league_rows(rng, n, 24)
+            fit = _newton_rows(d1, d2, ii, jj, n, model, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER)
+            assert fit[2].all()
+        assert len(seen) > 0 and len(set(seen)) == len(seen)
+
+    def test_diagonal_assembly_equals_the_four_block_scatter(self):
+        rng = np.random.default_rng(73)
+        for n in range(2, 8):
+            pairs = pair_order(n)
+            for _ in range(10):
+                chosen = np.flatnonzero(rng.random(len(pairs)) < 0.6)
+                if chosen.size == 0:
+                    chosen = np.array([int(rng.integers(len(pairs)))])
+                ii, jj = np.array(pairs, dtype=np.intp)[chosen].T
+                rows = int(rng.integers(1, 6))
+                weights = rng.uniform(0.0, 3.0, size=(rows, len(ii)))
+                weights[rng.random(weights.shape) < 0.3] = 0.0
+                # A plan for more rows than the call uses works on a prefix.
+                plan = _Incidence(ii, jj, n, rows + 2)
+                expected = _four_block_laplacian(ii, jj, n, weights)
+                assert plan.laplacian(weights).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_halving_rows_in_a_batch_match_single_runs(self, model, monkeypatch):
+        # Item 0 only wins and item 3 only loses, so the likelihood has no
+        # maximum: the steps of that row halve, and from some iteration on run
+        # out of all 60 halvings.
+        ii, jj = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 3])
+        stuck = (np.array([0.0, 0.0, 3.0, 0.0]), np.array([1.0, 1.0, 2.0, 2.0]))
+        rng = np.random.default_rng(79)
+        d1, d2 = (np.vstack([rng.uniform(0.1, 2.0, size=(2, 4)), row, rng.uniform(0.1, 2.0, 4)])
+                  for row in stuck)
+        max_iter = 50
+        m, iterations, converged = _newton_rows(d1, d2, ii, jj, 4, model, DEFAULT_MLE_TOL,
+                                                max_iter)
+        assert converged.tolist() == [True, True, False, True]
+        for r in range(len(d1)):
+            alone = _newton_rows(d1[r:r + 1], d2[r:r + 1], ii, jj, 4, model, DEFAULT_MLE_TOL,
+                                 max_iter)
+            assert m[r].tobytes() == alone[0][0].tobytes()
+            assert iterations[r] == alone[1][0] and converged[r] == alone[2][0]
+
+        # The start and each Newton step solve once: count the points each
+        # evaluates.  A step that runs out of halvings evaluates its 60 trials,
+        # then the next halving for its derivatives.
+        per_step = []
+        terms, solve = estimators._pair_terms, _Incidence.solve
+
+        def counted_terms(*args):
+            per_step[-1] += 1
+            return terms(*args)
+
+        monkeypatch.setattr(estimators, "_pair_terms", counted_terms)
+        monkeypatch.setattr(_Incidence, "solve", lambda *args: per_step.append(0) or solve(*args))
+        _newton_rows(stuck[0][None], stuck[1][None], ii, jj, 4, model, DEFAULT_MLE_TOL, max_iter)
+        assert len(per_step) == 1 + max_iter and max(per_step) == 61
 
 
 class TestLogLikelihood:

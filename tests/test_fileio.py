@@ -443,6 +443,26 @@ class TestResultsBytes:
             read_results(io.StringIO("\n".join(lines) + "\n"))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"measure": "mad", "graph_id": "h2"}, "row 3: graph_id must look like g12, got 'h2'"),
+            # Every cell is parsed before the checks across cells.
+            ({"perturb": "1.5", "mean": "x"}, "row 3: cannot parse 'x' as a number"),
+            ({"perturb": "1.5", "excluded": "99"}, "row 3: perturb 1.5 is not in [0, 1)"),
+        ],
+        ids=["columns", "parse-before-range", "range-order"],
+    )
+    def test_first_bad_cell_in_column_order_is_reported(self, edits, message):
+        lines = FIXED_CSV.splitlines()
+        header, cells = lines[0].split(","), lines[2].split(",")
+        for column, cell in edits.items():
+            cells[header.index(column)] = cell
+        lines[2] = ",".join(cells)
+        with pytest.raises(ParseError) as raised:
+            read_results(io.StringIO("\n".join(lines) + "\n"))
+        assert str(raised.value) == message
+
 
 @pytest.mark.parametrize(
     "reader, text",
