@@ -28,8 +28,8 @@ from .errors import (
     TooLarge,
 )
 from .estimators import bt_mle, em, llsm, weights_from_m
-from .graphs import enumerate_connected
-from .simulation import SimulationConfig, _pair_signs, run
+from .graphs import MAX_CATALOG_N, enumerate_connected
+from .simulation import DEFAULT_EPSILON, SimulationConfig, _pair_signs, run
 
 
 def _ranks_descending(weights: np.ndarray) -> np.ndarray:
@@ -210,12 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_graphs)
 
     p_sim = sub.add_parser("simulate", help="run the information-retrieval experiment")
-    p_sim.add_argument("--n", type=int, choices=(4, 5, 6), required=True)
+    p_sim.add_argument("--n", type=int, choices=range(4, MAX_CATALOG_N + 1), required=True)
     p_sim.add_argument("--perturb", type=float, required=True)
     p_sim.add_argument("--sims", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--model", choices=("logistic", "normal"), default="logistic")
-    p_sim.add_argument("--epsilon", type=float, default=1e-6)
+    p_sim.add_argument("--model", choices=[kind.value for kind in ModelKind],
+                       default=ModelKind.LOGISTIC.value)
+    p_sim.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_sim.add_argument("--out", required=True, help="summary table destination")
     p_sim.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p_sim.set_defaults(func=_cmd_simulate)

@@ -472,18 +472,19 @@ def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
         # Take the full step where the descent it promises (half the Newton
         # decrement) is below the rounding of f: there a line search compares
         # noise.  Elsewhere halve until f does not increase, at most 60
-        # times.  Each point is decomposed once, unless it leaves t as it is,
-        # and the point taken is the next iterate.
+        # times.  Each point is built and decomposed once, unless it leaves t
+        # as it is, and the point taken, matrix and pair, is the next iterate.
         size = float(np.max(np.abs(direction)))
         flat = -0.5 * (grad @ direction) <= n * np.finfo(float).eps * max(1.0, abs(current))
         scale = 1.0
         for halvings in range(61):
             moved = t + scale * direction
-            taken = (lam, w) if np.array_equal(moved, t) else _perron_pair(completed(moved))
+            trial = a if np.array_equal(moved, t) else completed(moved)
+            taken = (lam, w) if trial is a else _perron_pair(trial)
             if flat or halvings == 60 or math.log(taken[0]) <= current:
                 break
             scale *= 0.5
-        t, a = moved, completed(moved)
+        t, a = moved, trial
         lam, w = taken
         # Where f is flat to rounding, a full step that no longer shrinks is
         # rounding noise in a direction f hardly sees: stop there as well.

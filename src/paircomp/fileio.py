@@ -234,28 +234,17 @@ _MODELS = frozenset(kind.value for kind in ModelKind)
 _HEX_DIGITS = frozenset(string.hexdigits)
 
 
-def _result_cells(summary: SimulationSummary, graph_id) -> list[tuple]:
-    """The cells of each results row in column order; ``graph_id(cls)`` gives
-    the graph_id cell of a structure class."""
+def results_table(summary: SimulationSummary, as_json: bool = False) -> str:
+    """The results table of a run, graph ids written as labels (g12)."""
     config = summary.config
-    rows = []
+    table = []
     for cls in summary.classes:
-        structure = (config.n, config.perturb, config.model.value, graph_id(cls),
+        structure = (config.n, config.perturb, config.model.value, cls.label,
                      cls.edge_count, cls.code_hex)
         for measure in MEASURE_NAMES:
             stats = summary.stats[(cls.id, measure)]
-            rows.append((*structure, measure, stats.mean, stats.stddev, config.num_sims,
-                         config.num_sims - stats.count))
-    return rows
-
-
-def results_rows(summary: SimulationSummary) -> list[ResultRow]:
-    return [ResultRow(*cells) for cells in _result_cells(summary, lambda cls: cls.id)]
-
-
-def results_table(summary: SimulationSummary, as_json: bool = False) -> str:
-    """The results table of a run, graph ids written as labels (g12)."""
-    table = _result_cells(summary, lambda cls: cls.label)
+            table.append((*structure, measure, stats.mean, stats.stddev, config.num_sims,
+                          config.num_sims - stats.count))
     if as_json:
         return format_table(RESULTS_HEADER, table, as_json)
     return ",".join(RESULTS_HEADER) + "\n" + "".join(_RESULT_LINE % cells for cells in table)

@@ -1,12 +1,13 @@
 """Catalog of connected comparison structures up to isomorphism.
 
-Graphs on up to 6 vertices are enumerated by scanning all edge subsets and
-deduplicating with a canonical code: the lexicographically minimal edge
-bitstring over all vertex relabelings.  At this scale an exhaustive
-permutation scan (at most 8! relabelings) is fast and easy to verify, so no
-general canonical-labeling algorithm is used.  One cached table per n holds
-the image of every pair under every permutation; canonical codes and the
-catalog's orbit marking both read a graph's relabelings from it.
+Graphs on up to MAX_CATALOG_N vertices are enumerated by scanning all edge
+subsets and deduplicating with a canonical code: the lexicographically
+minimal edge bitstring over all vertex relabelings.  At this scale an
+exhaustive permutation scan (at most MAX_CANONICAL_N! relabelings) is fast and
+easy to verify, so no general canonical-labeling algorithm is used.  One
+cached table per n holds the image of every pair under every permutation;
+canonical codes, single-edge extensions and the catalog's orbit marking read
+a graph's relabelings from it.
 This module owns the edge-code bits (pair s of :func:`~paircomp.core.pair_order`
 is bit k - 1 - s of k, the first pair most significant) and how files and
 reports spell a class: its label ``g<id>`` (:func:`format_label`,
@@ -24,7 +25,7 @@ import numpy as np
 from .core import ComparisonGraph, _breadth_first, pair_order
 from .errors import DisconnectedGraph, TooLarge
 
-#: Largest vertex count accepted by the permutation-scan canonical code.
+#: Largest vertex count of a scan over all n! vertex relabelings.
 MAX_CANONICAL_N = 8
 
 #: Largest vertex count of the enumerated catalog.
@@ -34,7 +35,9 @@ MAX_CATALOG_N = 6
 @functools.cache
 def _pair_images(n: int) -> np.ndarray:
     """images[p, s]: the index of pair s's image under the p-th vertex
-    permutation (in itertools order); shape (n!, k)."""
+    permutation (in itertools order); shape (n!, k).  Every scan reads it."""
+    if n > MAX_CANONICAL_N:
+        raise TooLarge(f"relabeling scans n! permutations; n={n} exceeds {MAX_CANONICAL_N}")
     index = {p: s for s, p in enumerate(pair_order(n))}
     images = [
         [index[min(perm[i], perm[j]), max(perm[i], perm[j])] for i, j in pair_order(n)]
@@ -43,10 +46,10 @@ def _pair_images(n: int) -> np.ndarray:
     return np.array(images, dtype=np.uint8)
 
 
-def _relabelings(n: int, pairs: list[int]) -> np.ndarray:
-    """A graph's codes, given its pair indices, under every vertex permutation."""
-    k = n * (n - 1) // 2
-    return (1 << (k - 1 - _pair_images(n)[:, pairs].astype(np.int64))).sum(axis=1)
+def _relabelings(images: np.ndarray, pairs: list[int]) -> np.ndarray:
+    """A graph's codes, given its pair indices, under every relabeling of ``images``."""
+    k = images.shape[1]
+    return (1 << (k - 1 - images[:, pairs].astype(np.int64))).sum(axis=1)
 
 
 def _pairs_of(n: int, code: int) -> list[int]:
@@ -59,11 +62,9 @@ def canonical_code(graph: ComparisonGraph) -> int:
     """Lexicographically minimal edge bitstring over all vertex permutations,
     as an integer (pair order of :func:`pair_order`, first pair = most
     significant bit).  Two graphs get equal codes iff they are isomorphic."""
-    n = graph.n
-    if n > MAX_CANONICAL_N:
-        raise TooLarge(f"canonical code scans n! permutations; n={n} exceeds {MAX_CANONICAL_N}")
-    pairs = pair_order(n)
-    return int(_relabelings(n, [pairs.index(edge) for edge in graph.sorted_edges()]).min())
+    images = _pair_images(graph.n)  # first: a large n is refused before its pair list
+    pairs = pair_order(graph.n)
+    return int(_relabelings(images, [pairs.index(edge) for edge in graph.sorted_edges()]).min())
 
 
 def format_label(graph_id: int) -> str:
@@ -128,8 +129,9 @@ class GraphProperties:
 
 @functools.lru_cache(maxsize=MAX_CATALOG_N)
 def enumerate_connected(n: int) -> tuple[GraphClass, ...]:
-    """All isomorphism classes of connected graphs on n vertices (2 <= n <= 6),
-    sorted by (edge count, canonical code) and numbered from 1.
+    """All isomorphism classes of connected graphs on n vertices
+    (2 <= n <= MAX_CATALOG_N), sorted by (edge count, canonical code) and
+    numbered from 1.
 
     Edge subsets are scanned in ascending code order; the first member of each
     isomorphism orbit encountered is therefore its canonical representative.
@@ -141,14 +143,14 @@ def enumerate_connected(n: int) -> tuple[GraphClass, ...]:
     if n > MAX_CATALOG_N:
         raise TooLarge(f"catalog covers n <= {MAX_CATALOG_N}, got {n}")
     k = n * (n - 1) // 2
-    pairs = pair_order(n)
+    pairs, images = pair_order(n), _pair_images(n)
     visited = np.zeros(1 << k, dtype=bool)
     codes: list[int] = []
     for code in range(1, 1 << k):
         if visited[code]:
             continue
         bits = _pairs_of(n, code)
-        visited[_relabelings(n, bits)] = True
+        visited[_relabelings(images, bits)] = True
         if ComparisonGraph(n, [pairs[s] for s in bits]).is_connected():
             codes.append(code)
 
@@ -197,9 +199,10 @@ def single_edge_extensions(a: GraphClass, b: GraphClass) -> bool:
     of class ``b``."""
     if a.n != b.n or b.edge_count != a.edge_count + 1:
         return False
+    images = _pair_images(a.n)
     bits = _pairs_of(a.n, a.canonical_code)
-    absent = (s for s in range(len(pair_order(a.n))) if s not in bits)
-    return any(_relabelings(a.n, bits + [s]).min() == b.canonical_code for s in absent)
+    absent = (s for s in range(images.shape[1]) if s not in bits)
+    return any(_relabelings(images, bits + [s]).min() == b.canonical_code for s in absent)
 
 
 @functools.cache

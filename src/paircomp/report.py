@@ -8,6 +8,7 @@ tables share one grouping.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 
 from .errors import MissingSlice
@@ -53,7 +54,8 @@ def averages_by_edges(rows: list[ResultRow]):
 
 def best_by_edges(rows: list[ResultRow]):
     """Best and worst structure per edge count for every measure; lets a
-    k-edge best be compared against a (k+1)-edge worst directly."""
+    k-edge best be compared against a (k+1)-edge worst directly.  A NaN mean
+    (every replication excluded) competes only where no mean is finite."""
     n, model = _context(rows)
     header = (
         "n",
@@ -68,7 +70,8 @@ def best_by_edges(rows: list[ResultRow]):
     )
     table = []
     for (perturb, edges, measure), members in _by_edges(rows):
-        ordered = sorted(members, key=lambda r: r.mean, reverse=HIGHER_IS_BETTER[measure])
+        scored = [r for r in members if math.isfinite(r.mean)] or members
+        ordered = sorted(scored, key=lambda r: r.mean, reverse=HIGHER_IS_BETTER[measure])
         best, worst = ordered[0], ordered[-1]
         table.append(
             (n, perturb, model, edges, measure,

@@ -35,20 +35,21 @@ from scipy.special import ndtri
 
 from .core import DataMatrix, ExpectedValueVector, ModelKind, WeightVector, pair_order
 from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows, _softmax_rows
-from .graphs import GraphClass, enumerate_connected, is_ascii_digits
+from .graphs import MAX_CATALOG_N, GraphClass, enumerate_connected, is_ascii_digits
 
 #: Measure column names, in canonical order.
 MEASURE_NAMES = ("eu_m", "eu_w", "pe_m", "pe_w", "rho", "tau")
 
+# The distance measures and their (low, high) range: finite and nonnegative,
+# as weight vectors lie in the simplex, so eu_w <= sqrt 2.  Every other
+# measure is a correlation, in [-1, 1] where it exists.
+_DISTANCES = {"eu_m": (0.0, math.inf), "eu_w": (0.0, math.sqrt(2.0) + 1e-9)}
+
 #: Orientation of each measure: True when larger values mean more retrieval.
-HIGHER_IS_BETTER = {
-    "eu_m": False,
-    "eu_w": False,
-    "pe_m": True,
-    "pe_w": True,
-    "rho": True,
-    "tau": True,
-}
+HIGHER_IS_BETTER = {name: name not in _DISTANCES for name in MEASURE_NAMES}
+
+#: Perturbed probabilities are redrawn into (epsilon, 1 - epsilon); the default epsilon.
+DEFAULT_EPSILON = 1e-6
 
 #: Worker-count environment override.
 THREADS_ENV = "PAIRCOMP_THREADS"
@@ -70,19 +71,16 @@ class SimulationConfig:
     num_sims: int
     seed: int
     model: ModelKind = ModelKind.LOGISTIC
-    epsilon: float = 1e-6
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not 2 <= self.n <= 6:
-            raise ValueError("item count must be between 2 and 6")
-        if not 0.0 <= self.perturb < 1.0:
-            raise ValueError("perturbation level must be in [0, 1)")
+        if not 2 <= self.n <= MAX_CATALOG_N:
+            raise ValueError(f"item count must be between 2 and {MAX_CATALOG_N}")
+        _check_window(self.perturb, self.epsilon)
         if self.num_sims < 1:
             raise ValueError("need at least one replication")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValueError("epsilon must be in (0, 0.5)")
         # The most extreme exact probability is F(ln 9), from weights 1 and 9.
         if self.perturb > 0.0:
             _check_reachable(self.model.cdf(math.log(9.0)), self.perturb, self.epsilon)
@@ -135,6 +133,14 @@ class SimulationSummary:
         return self.stats[(graph_id, measure)].mean
 
 
+def _check_window(level: float, epsilon: float) -> None:
+    """Refuse a perturbation level outside [0, 1) or an epsilon outside (0, 0.5)."""
+    if not 0.0 <= level < 1.0:
+        raise ValueError("perturbation level must be in [0, 1)")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError("epsilon must be in (0, 0.5)")
+
+
 def _check_reachable(d1, level: float, epsilon: float) -> None:
     # A draw from [d1 - level, d1 + level] is redrawn until it falls in
     # (epsilon, 1 - epsilon); refuse windows that accept too few draws for
@@ -154,7 +160,7 @@ def draw_initial_weights(rng: np.random.Generator, n: int) -> WeightVector:
 
 
 def perturb_data(
-    data: DataMatrix, level: float, rng: np.random.Generator, epsilon: float = 1e-6
+    data: DataMatrix, level: float, rng: np.random.Generator, epsilon: float = DEFAULT_EPSILON
 ) -> DataMatrix:
     """Add an independent uniform draw from [-level, level] to each d1,
     redrawing until the result lies in (epsilon, 1 - epsilon), and set
@@ -163,10 +169,7 @@ def perturb_data(
     ValueError when less than MIN_ACCEPTED_SHARE of some pair's interval
     [d1 - level, d1 + level] lies in the window: redrawing would then take
     over 1,000 draws per pair on average, or never end."""
-    if not 0.0 <= level < 1.0:
-        raise ValueError("perturbation level must be in [0, 1)")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 0.5)")
+    _check_window(level, epsilon)
     if len(data.entries) != data.n * (data.n - 1) // 2:
         raise ValueError("perturbation expects complete comparison data")
     pairs = data.sorted_pairs()
@@ -517,10 +520,7 @@ def _block_bounds(total: int, classes: int) -> list[tuple[int, int]]:
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
-# Distances are finite and nonnegative (weight vectors lie in the simplex, so
-# eu_w <= sqrt 2); correlations that exist lie in [-1, 1].  Columns of (low,
-# high) bounds and of "must be finite", in MEASURE_NAMES order.
-_DISTANCES = {"eu_m": (0.0, math.inf), "eu_w": (0.0, math.sqrt(2.0) + 1e-9)}
+# Columns of (low, high) bounds and of "must be finite", in MEASURE_NAMES order.
 _LOW, _HIGH = np.array(
     [_DISTANCES.get(name, (-1.0 - 1e-9, 1.0 + 1e-9)) for name in MEASURE_NAMES]
 ).T[:, :, None]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -14,8 +15,10 @@ import pytest
 from scipy.stats import rankdata
 
 import paircomp
-from paircomp import IPCM
-from paircomp.cli import _ranks_descending, main
+from paircomp import IPCM, ModelKind
+from paircomp.cli import _ranks_descending, build_parser, main
+from paircomp.graphs import MAX_CATALOG_N
+from paircomp.simulation import DEFAULT_EPSILON
 from paircomp.fileio import emit_pcm, read_results
 from tests.conftest import GOLDEN_TOL
 
@@ -318,6 +321,43 @@ class TestSimulateAndReport:
         payload = json.loads(capsys.readouterr().out)
         perturbs = sorted({row["perturb"] for row in payload})
         assert perturbs == [0.15, 0.3]
+
+    def test_simulate_options_come_from_their_owners(self):
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        options = {action.dest: action for action in commands.choices["simulate"]._actions}
+        assert options["n"].choices == range(4, MAX_CATALOG_N + 1)
+        assert options["model"].choices == [kind.value for kind in ModelKind]
+        assert options["epsilon"].default == DEFAULT_EPSILON
+
+    def test_best_by_edges_skips_classes_without_data(self, capsys, tmp_path, results_file):
+        # Every replication of g1, the first 3-edge class, and of g6, the only
+        # 6-edge class, excluded: their means are NaN.
+        lines = Path(results_file).read_text(encoding="utf-8").splitlines(keepends=True)
+        for k, line in enumerate(lines):
+            cells = line.split(",")
+            if cells[3] in ("g1", "g6"):
+                cells[7:] = ["nan", "nan", "8", "8\n"]
+                lines[k] = ",".join(cells)
+        emptied = tmp_path / "emptied.csv"
+        emptied.write_text("".join(lines), encoding="utf-8")
+        table = run_json(capsys, ["report", "--results", str(emptied),
+                                  "--figure", "best-by-edges", "--json"])
+        full = {(r["edges"], r["measure"]): r for r in run_json(
+            capsys, ["report", "--results", results_file, "--figure", "best-by-edges", "--json"])}
+        means = {(r.graph_id, r.measure): r.mean for r in read_results(results_file)}
+        for row in table:
+            key = (row["edges"], row["measure"])
+            if row["edges"] == 3:
+                # g2 alone has data, so it is both best and worst.
+                assert (row["best_graph"], row["worst_graph"]) == ("g2", "g2")
+                assert row["best_mean"] == row["worst_mean"] == means[(2, row["measure"])]
+            elif row["edges"] == 6:
+                # No class has data: the row stays as it was, naming g6 with NaN.
+                assert (row["best_graph"], row["worst_graph"]) == ("g6", "g6")
+                assert np.isnan(row["best_mean"]) and np.isnan(row["worst_mean"])
+            else:
+                assert row == full[key]
 
     def test_missing_slice_exits_one(self, capsys, results_file):
         code = main(

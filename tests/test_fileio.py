@@ -34,7 +34,6 @@ from paircomp.fileio import (
     parse_pairs,
     parse_pcm,
     read_results,
-    results_rows,
     results_table,
     write_results,
 )
@@ -237,7 +236,7 @@ class TestResultsTable:
             assert row.excluded == 5 - cell.count
 
     def test_rows_carry_structure_metadata(self, summary):
-        for row in results_rows(summary):
+        for row in read_results(io.StringIO(results_table(summary))):
             cls = enumerate_connected(row.n)[row.graph_id - 1]
             assert cls.edge_count == row.edges
             assert cls.member().edge_count == row.edges

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -21,7 +22,7 @@ from paircomp import (
 )
 from paircomp import core, graphs
 from paircomp.core import _breadth_first
-from paircomp.graphs import pair_order
+from paircomp.graphs import MAX_CANONICAL_N, GraphClass, pair_order
 
 
 def star(n: int) -> ComparisonGraph:
@@ -256,6 +257,39 @@ class TestSingleEdgeExtensions:
             }
             for b in classes:
                 assert single_edge_extensions(a, b) == (b.canonical_code in grown)
+
+    @pytest.mark.parametrize("n", [7, MAX_CANONICAL_N])
+    def test_matches_brute_force_past_the_catalog(self, n):
+        # Hand-made classes: b extends a exactly when its code is that of a
+        # grown member, for grown codes and for random graphs with one more edge.
+        rng = np.random.default_rng(n)
+        pairs = pair_order(n)
+        for _ in range(3):
+            extra = [p for p in pairs if rng.random() < 0.3]
+            member = ComparisonGraph(n, [(k, k + 1) for k in range(n - 1)] + extra)
+            a = GraphClass(n, canonical_code(member), member.edge_count, 1)
+            grown = {
+                canonical_code(ComparisonGraph(n, member.edges | {pair}))
+                for pair in pairs
+                if pair not in member.edges
+            }
+            drawn = {
+                canonical_code(ComparisonGraph(n, [pairs[s] for s in rng.choice(
+                    len(pairs), member.edge_count + 1, replace=False)]))
+                for _ in range(3)
+            }
+            for code in sorted(grown)[:3] + sorted(drawn):
+                b = GraphClass(n, code, member.edge_count + 1, 2)
+                assert single_edge_extensions(a, b) == (code in grown)
+
+    def test_past_the_scan_bound_is_refused_at_once(self):
+        # An n = 9 class would scan 9! relabelings per missing pair.
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            single_edge_extensions(GraphClass(9, 1, 1, 1), GraphClass(9, 3, 2, 2))
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(TooLarge):
+            canonical_code(ComparisonGraph(MAX_CANONICAL_N + 1, [(0, 1)]))
 
     def test_constructive_check(self):
         # Whenever the relation holds, adding some edge must really produce

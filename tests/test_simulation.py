@@ -37,11 +37,12 @@ from paircomp import (
     weights_from_m,
 )
 from paircomp.estimators import _newton_rows, _pair_data
-from paircomp.graphs import pair_order
+from paircomp.graphs import MAX_CATALOG_N, pair_order
 from paircomp import simulation
 from paircomp.simulation import (
     _PCG64_MULT,
     BATCH_ROWS,
+    HIGHER_IS_BETTER,
     MEASURE_NAMES,
     _block_bounds,
     _check_streams,
@@ -790,6 +791,14 @@ class TestRun:
             SimulationConfig(n=4, perturb=0.1, num_sims=1, seed=-1)
         with pytest.raises(ValueError):
             SimulationConfig(n=4, perturb=0.1, num_sims=1, seed=0, epsilon=0.7)
+        with pytest.raises(ValueError, match=f"between 2 and {MAX_CATALOG_N}"):
+            SimulationConfig(n=MAX_CATALOG_N + 1, perturb=0.1, num_sims=1, seed=0)
+
+    def test_only_distances_are_lower_is_better(self):
+        assert list(HIGHER_IS_BETTER.items()) == [
+            ("eu_m", False), ("eu_w", False), ("pe_m", True), ("pe_w", True),
+            ("rho", True), ("tau", True),
+        ]
 
     @pytest.mark.parametrize("model", [ModelKind.LOGISTIC, ModelKind.NORMAL])
     def test_config_rejects_an_unreachable_epsilon_window(self, model):
