@@ -32,6 +32,10 @@ from .graphs import MAX_CATALOG_N, enumerate_connected
 from .simulation import DEFAULT_EPSILON, SimulationConfig, _pair_signs, run
 
 
+#: Likelihood method of ``rank`` -> its model; the other methods read ratios.
+_LIKELIHOOD_METHODS = {"bt": ModelKind.LOGISTIC, "thurstone": ModelKind.NORMAL}
+
+
 def _ranks_descending(weights: np.ndarray) -> np.ndarray:
     """Rank 1 = largest weight; ties share the average rank."""
     return 0.5 * (len(weights) + 1 - _pair_signs(weights).sum(axis=-1))
@@ -74,14 +78,13 @@ def _consistency_payload(data, pcm, tol):
 
 
 def _cmd_rank(args) -> int:
-    if args.method in ("bt", "thurstone") and args.format != "pairs":
-        build_parser().error("methods bt and thurstone need --format pairs")
+    if args.method in _LIKELIHOOD_METHODS and args.format != "pairs":
+        build_parser().error(f"methods {' and '.join(_LIKELIHOOD_METHODS)} need --format pairs")
     data, pcm = _load_input(args)
 
     payload: dict = {"method": args.method}
-    if args.method in ("bt", "thurstone"):
-        model = ModelKind.LOGISTIC if args.method == "bt" else ModelKind.NORMAL
-        result = bt_mle(data, model)
+    if args.method in _LIKELIHOOD_METHODS:
+        result = bt_mle(data, _LIKELIHOOD_METHODS[args.method])
         weights = weights_from_m(result.m)
         payload["m"] = list(result.m.values)
         payload["log_likelihood"] = result.loglik
@@ -192,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="evaluate weights with one method")
     add_input_flags(p_rank)
-    p_rank.add_argument(
-        "--method", choices=("llsm", "em", "bt", "thurstone"), default="bt"
-    )
+    p_rank.add_argument("--method", choices=("llsm", "em", *_LIKELIHOOD_METHODS), default="bt")
     p_rank.set_defaults(func=_cmd_rank)
 
     p_cons = sub.add_parser("consistency", help="cycle-product consistency check")

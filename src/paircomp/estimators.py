@@ -15,16 +15,16 @@ are concave and maximized by one batched damped Newton solver, whose Hessian
 is the Laplacian weighted by the curvature of ln F on each pair.  Each point
 it visits is evaluated once: the link's special functions there give both
 the log-likelihood its line search compares and the derivatives of the next
-step.  It converges when the full Newton step is below the tolerance, which
-bounds the error because convergence is quadratic near the optimum.  It
-starts from the least-squares solution of F^-1(d2 / (d1 + d2)) = m_i - m_j,
-a unit-weight solve: on consistent data every equation holds exactly, and
-the paper shows the least-squares and likelihood optima then coincide, so
-the start is the MLE; under noise it is close to it.  The eigenvalue
-completion minimizes log lambda_max, which is convex in the logs of the
-missing entries with a unique optimum on connected comparison graphs, by
-damped Newton with the exact Perron gradient and Hessian; each iterate's
-eigenpair comes from one dense eigendecomposition.
+step.  A fit stops on its first full Newton step below the tolerance and
+takes that step, unevaluated; this bounds the error because convergence is
+quadratic near the optimum.  It starts from the least-squares solution of
+F^-1(d2 / (d1 + d2)) = m_i - m_j, a unit-weight solve: on consistent data
+every equation holds exactly, and the paper shows the least-squares and
+likelihood optima then coincide, so the start is the MLE; under noise it is
+close to it.  The eigenvalue completion minimizes log lambda_max, which is
+convex in the logs of the missing entries with a unique optimum on connected
+comparison graphs, by damped Newton with the exact Perron gradient and
+Hessian; each iterate's eigenpair comes from one dense eigendecomposition.
 
 All iteration is in lexicographic pair order, so results are reproducible
 bit for bit.
@@ -275,16 +275,17 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     likelihood optimum coincide on consistent data, complete or not, so
     there the first step is below rounding; under noise the start is close
     to the optimum.  The negative Hessian is the graph Laplacian weighted by
-    the pair curvatures.  A row stops, and is frozen, when its full Newton
-    step is below ``tol``; every row's trajectory is therefore identical to
-    a run of that row alone.  Returns (m rows, iterations per row, converged
-    mask).
+    the pair curvatures.  A row stops on its first full Newton step below
+    ``tol`` in max norm: it takes that step without evaluating it or
+    searching it, and is frozen.  Every row's trajectory is therefore
+    identical to a run of that row alone.  Returns (m rows, iterations per
+    row, converged mask).
 
     The iteration runs on x = m[:, 1:].  Rows still iterating are kept as a
     prefix of the working arrays, which are compacted only when a row stops.
     Each point is evaluated once (:func:`_pair_terms`): the terms of the
     point a row moves to are its next derivatives, and its log-likelihood is
-    computed only where the step was searched.
+    computed only where the step is searched.
     """
     rows = d1.shape[0]
     plan = _Incidence(ii, jj, n, rows)
@@ -297,25 +298,23 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     for step in range(1, max_iter + 1):
         grad = plan.vertex_sums(g_pair)[:, 1:]
         direction = plan.solve(h_pair, grad)
+        moved = x + direction
+        # A row whose full step is below tol stops on it, unevaluated.
+        done = np.abs(direction).max(axis=1) < tol
+        if done.any():
+            m[active[done], 1:] = moved[done]
+            iterations[active[done]] = step
+            going = ~done
+            active, x, moved, direction, grad, d1, d2, current = (
+                a[going] for a in (active, x, moved, direction, grad, d1, d2, current)
+            )
+        if active.size == 0:
+            break
         # Take the full step where the ascent it promises (half the Newton
         # decrement) is below the rounding of the log-likelihood: there a
         # line search compares noise.  Elsewhere halve until it ascends.
         decrement = (grad * direction).sum(axis=1)
-        searched = 0.5 * decrement > threshold * np.abs(current)
-        done = np.abs(direction).max(axis=1) < tol
-        moved = x + direction
-        # A row that stops on a full step it did not search takes it unevaluated.
-        final = done & ~searched
-        if final.any():
-            m[active[final], 1:] = moved[final]
-            iterations[active[final]] = step
-            going = ~final
-            active, x, moved, direction, d1, d2, current, searched, done = (
-                a[going] for a in (active, x, moved, direction, d1, d2, current, searched, done)
-            )
-            if active.size == 0:
-                break
-        search = np.flatnonzero(searched)
+        search = np.flatnonzero(0.5 * decrement > threshold * np.abs(current))
         value, g_pair, h_pair = _pair_terms(plan.differences(moved), d1, d2, model, search)
         # A halving trial is x + scale direction.  After 60 failed trials a
         # row takes the next halving untested, evaluated for its derivatives.
@@ -331,15 +330,6 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
                 slice(None) if halvings < 60 else slice(0),
             )
         x = moved
-        if done.any():
-            m[active[done], 1:] = x[done]
-            iterations[active[done]] = step
-            going = ~done
-            active, x, d1, d2, current, g_pair, h_pair = (
-                a[going] for a in (active, x, d1, d2, current, g_pair, h_pair)
-            )
-        if active.size == 0:
-            break
     m[active, 1:] = x
     iterations[active] = max_iter
     converged = np.ones(rows, dtype=bool)
@@ -358,8 +348,9 @@ def bt_mle(
 
     Requires the Ford condition (strongly connected directed comparison
     graph), which is necessary and sufficient for a unique maximum.
-    Real-valued amounts are fine; only ratios matter.  The fit stops when
-    the full Newton step's max norm is below ``tol`` > 0; ``max_iter`` >= 1.
+    Real-valued amounts are fine; only ratios matter.  The fit stops on its
+    first full Newton step whose max norm is below ``tol`` > 0 and takes that
+    step; ``max_iter`` >= 1.
     """
     if not (tol > 0.0 and max_iter >= 1):
         raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")

@@ -190,18 +190,9 @@ def parse_pcm(
 
 
 def emit_pcm(pcm: IPCM) -> str:
-    lines = []
-    for i in range(pcm.n):
-        cells = []
-        for j in range(pcm.n):
-            if i == j:
-                cells.append("1")
-            elif (i, j) in pcm.entries:
-                cells.append(_fmt(pcm.entries[(i, j)]))
-            else:
-                cells.append("*")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """The matrix as :func:`parse_pcm` reads it, ``*`` for a missing entry."""
+    return "".join(",".join("*" if math.isnan(v) else _fmt(v) for v in row) + "\n"
+                   for row in pcm.as_array())
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@ def _context(rows: list[ResultRow]) -> tuple[int, str]:
     models = {r.model for r in rows}
     if len(ns) > 1 or len(models) > 1:
         raise ValueError("results mix different n or model; report on one run family")
+    cells = set()
+    for r in rows:
+        cell = (r.perturb, r.graph_id, r.measure)
+        if cell in cells:
+            raise ValueError(
+                f"results repeat perturb {r.perturb:g}, {format_label(r.graph_id)}, {r.measure}; "
+                "report on one run per perturbation level"
+            )
+        cells.add(cell)
     return ns.pop(), models.pop()
 
 

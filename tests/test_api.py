@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import enum
 import inspect
+from pathlib import Path
+
+import numpy as np
 
 import paircomp
 from paircomp import fileio
@@ -193,3 +196,15 @@ def test_results_writer_signature():
     assert str(inspect.signature(fileio.write_results)) == (
         "(summary: 'SimulationSummary', out: 'TextIO') -> 'None'"
     )
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = []
+    exec(compile(code, "README.md", "exec"), {"print": lambda *args: printed.append(args)})
+    assert printed[0] == (True,)
+    weights = [np.asarray(args[0]) for args in printed[1:]]
+    assert len(weights) == 3
+    assert all(np.max(np.abs(w - weights[0])) <= 1e-12 for w in weights[1:])

@@ -322,6 +322,13 @@ class TestSimulateAndReport:
         perturbs = sorted({row["perturb"] for row in payload})
         assert perturbs == [0.15, 0.3]
 
+    @pytest.mark.parametrize("figure", ["averages-by-edges", "perturb-sweep"])
+    def test_report_refuses_a_cell_given_twice(self, capsys, results_file, figure):
+        code = main(["report", "--results", results_file, results_file, "--figure", figure])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "results repeat perturb 0.15, g1, eu_m" in captured.err
+
     def test_simulate_options_come_from_their_owners(self):
         commands = next(action for action in build_parser()._actions
                         if isinstance(action, argparse._SubParsersAction))

@@ -550,6 +550,19 @@ def _league_rows(rng, n: int, rows: int):
     return d1, d2, ii, jj
 
 
+def _halving_rows():
+    """Four rows of amounts over pairs (0, 1), (0, 2), (1, 2), (2, 3), and
+    the third row's amounts.  In that row item 0 only wins and item 3 only
+    loses, so its likelihood has no maximum: its steps halve, and from some
+    iteration on run out of all 60 halvings."""
+    ii, jj = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 3])
+    stuck = (np.array([0.0, 0.0, 3.0, 0.0]), np.array([1.0, 1.0, 2.0, 2.0]))
+    rng = np.random.default_rng(79)
+    d1, d2 = (np.vstack([rng.uniform(0.1, 2.0, size=(2, 4)), row, rng.uniform(0.1, 2.0, 4)])
+              for row in stuck)
+    return d1, d2, ii, jj, stuck
+
+
 def _four_block_laplacian(ii, jj, n, weights):
     """The weighted graph Laplacian as one scatter of all four cells of each
     pair: (j, j), (i, i), then (i, j) and (j, i) negated."""
@@ -598,14 +611,7 @@ class TestNewtonKernel:
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     def test_halving_rows_in_a_batch_match_single_runs(self, model, monkeypatch):
-        # Item 0 only wins and item 3 only loses, so the likelihood has no
-        # maximum: the steps of that row halve, and from some iteration on run
-        # out of all 60 halvings.
-        ii, jj = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 3])
-        stuck = (np.array([0.0, 0.0, 3.0, 0.0]), np.array([1.0, 1.0, 2.0, 2.0]))
-        rng = np.random.default_rng(79)
-        d1, d2 = (np.vstack([rng.uniform(0.1, 2.0, size=(2, 4)), row, rng.uniform(0.1, 2.0, 4)])
-                  for row in stuck)
+        d1, d2, ii, jj, stuck = _halving_rows()
         max_iter = 50
         m, iterations, converged = _newton_rows(d1, d2, ii, jj, 4, model, DEFAULT_MLE_TOL,
                                                 max_iter)
@@ -630,6 +636,47 @@ class TestNewtonKernel:
         monkeypatch.setattr(_Incidence, "solve", lambda *args: per_step.append(0) or solve(*args))
         _newton_rows(stuck[0][None], stuck[1][None], ii, jj, 4, model, DEFAULT_MLE_TOL, max_iter)
         assert len(per_step) == 1 + max_iter and max(per_step) == 61
+
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    @pytest.mark.parametrize("tol", [DEFAULT_MLE_TOL, 1e-6])
+    def test_a_converged_row_never_evaluates_its_final_point(self, model, tol, monkeypatch):
+        # Count the rows each fit evaluates between its solves: the start's,
+        # then one per Newton step.  A converged row evaluates its start, one
+        # point per step before the last with that step's halving trials, and
+        # nothing on its last step: it stops on the full step unevaluated.
+        rng = np.random.default_rng(83)
+        fixtures = [(*_league_rows(rng, n, 6), n) for n in (2, 3, 4, 5, 6)]
+        fixtures.append((*_halving_rows()[:4], 4))
+        per_step = []
+        terms, solve = estimators._pair_terms, _Incidence.solve
+
+        def counted_terms(delta, *args):
+            per_step[-1] += len(delta)
+            return terms(delta, *args)
+
+        monkeypatch.setattr(estimators, "_pair_terms", counted_terms)
+        monkeypatch.setattr(_Incidence, "solve", lambda *args: per_step.append(0) or solve(*args))
+        stopped = 0
+        for d1, d2, ii, jj, n in fixtures:
+            alone = []
+            for r in range(len(d1)):
+                per_step.clear()
+                _, iterations, converged = _newton_rows(d1[r:r + 1], d2[r:r + 1], ii, jj, n,
+                                                        model, tol, 50)
+                steps = int(iterations[0])
+                assert len(per_step) == 1 + steps and per_step[0] == 1
+                assert min(per_step[1:steps], default=1) >= 1
+                alone.append(sum(per_step))
+                if converged[0]:
+                    assert per_step[-1] == 0
+                    stopped += 1
+                else:
+                    assert per_step[-1] >= 1
+            # In a batch each row evaluates the same points as alone.
+            per_step.clear()
+            _newton_rows(d1, d2, ii, jj, n, model, tol, 50)
+            assert sum(per_step) == sum(alone)
+        assert stopped == 5 * 6 + 3
 
 
 class TestLogLikelihood:
