@@ -13,7 +13,6 @@ from . import fileio, report
 from .core import (
     DEFAULT_CYCLE_TOL,
     ModelKind,
-    check_cycle_tolerance,
     data_consistency,
     ford_condition,
     pcm_consistency,
@@ -60,16 +59,18 @@ def _load_input(args):
 
 def _consistency_payload(data, pcm, tol):
     """Verdict and diagnostics for whichever representation was supplied;
-    only pair data has a Ford condition.  The tolerance is checked even
-    where no cycle check runs."""
-    check_cycle_tolerance(tol)
-    graph = data.comparison_graph() if data is not None else pcm.representing_graph()
-    payload = {"connected": graph.is_connected()}
+    only pair data has a Ford condition, and a disconnected graph has no
+    verdict.  The cycle check refuses a bad tolerance before it tests
+    connectivity."""
+    try:
+        report_ = data_consistency(data, tol) if data is not None else pcm_consistency(pcm, tol)
+    except DisconnectedGraph:
+        report_ = None
+    payload = {"connected": report_ is not None}
     if data is not None:
         payload["ford_condition"] = ford_condition(data)
     payload["consistent"] = None
-    if payload["connected"]:
-        report_ = data_consistency(data, tol) if data is not None else pcm_consistency(pcm, tol)
+    if report_ is not None:
         witness = report_.witness
         payload["consistent"] = report_.consistent
         payload["max_cycle_deviation"] = report_.max_cycle_deviation
@@ -147,7 +148,20 @@ def _cmd_graphs(args) -> int:
     return 0
 
 
+def _check_destination(out: str) -> None:
+    """Refuse, before a run, a results path that cannot be written: the
+    results are written in one piece after the last replication."""
+    if out == "-":
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise IsADirectoryError(f"cannot write results to {out}: it is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"cannot write results to {out}: no directory {path.parent}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_destination(args.out)
     config = SimulationConfig(
         n=args.n,
         perturb=args.perturb,

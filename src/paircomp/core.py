@@ -57,12 +57,6 @@ class ModelKind(enum.Enum):
         return ndtri(p)
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
 @functools.lru_cache(maxsize=8)  # bounded, as files may give any n
 def pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j), 0 <= i < j < n, in lexicographic order."""
@@ -289,25 +283,19 @@ class IPCM:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Priority vector: positive coordinates summing to 1."""
+class _Vector:
+    """A non-empty 1-D float vector kept as a read-only copy; each subclass
+    names its coordinates (``_noun``) and checks their values (``_check``)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _read_only(self.values)
+        arr = np.array(self.values, dtype=float)
+        arr.flags.writeable = False
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("weights must be a non-empty vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValueError("weights must be positive and finite")
-        if abs(float(arr.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+            raise ValueError(f"{self._noun} must be a non-empty vector")
+        self._check(arr)
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def normalized(cls, values) -> "WeightVector":
-        arr = np.asarray(values, dtype=float)
-        return cls(arr / arr.sum())
 
     def __len__(self) -> int:
         return len(self.values)
@@ -317,33 +305,43 @@ class WeightVector:
 
 
 @dataclass(frozen=True, eq=False)
-class ExpectedValueVector:
+class WeightVector(_Vector):
+    """Priority vector: positive coordinates summing to 1."""
+
+    _noun = "weights"
+
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+            raise ValueError("weights must be positive and finite")
+        if abs(float(arr.sum()) - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1")
+
+    @classmethod
+    def normalized(cls, values) -> "WeightVector":
+        arr = np.asarray(values, dtype=float)
+        return cls(arr / arr.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class ExpectedValueVector(_Vector):
     """Expected values on the log scale, gauge-fixed so the first coordinate
     is exactly 0."""
 
-    values: np.ndarray
+    _noun = "expected values"
 
-    def __post_init__(self):
-        arr = _read_only(self.values)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("expected values must be a non-empty vector")
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
         if not np.all(np.isfinite(arr)):
             raise ValueError("expected values must be finite")
         if arr[0] != 0.0:
             raise ValueError("first coordinate must be exactly 0 (gauge)")
-        object.__setattr__(self, "values", arr)
 
     @classmethod
     def gauged(cls, values) -> "ExpectedValueVector":
         """Shift an arbitrary vector so its first coordinate becomes 0."""
         arr = np.asarray(values, dtype=float)
         return cls(arr - arr[0])
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.values[i])
 
 
 @dataclass(frozen=True)
@@ -381,10 +379,9 @@ def exact_probabilities(
 def pcm_from_data(data: DataMatrix) -> IPCM:
     """Ratio matrix with a_ij = d2/d1 per pair; pairs with a zero side are
     omitted."""
-    upper = {
-        (i, j): d2 / d1 for (i, j), (d1, d2) in data.entries.items() if d1 > 0 and d2 > 0
-    }
-    return IPCM.from_upper(data.n, upper)
+    return IPCM.from_upper(
+        data.n, {p: data.entries[p][1] / data.entries[p][0] for p in data.comparison_pairs}
+    )
 
 
 def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
@@ -395,13 +392,6 @@ def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
     if len(rotated) > 2 and rotated[-1] < rotated[1]:
         rotated = [rotated[0]] + rotated[1:][::-1]
     return tuple(rotated)
-
-
-def check_cycle_tolerance(tol: float) -> None:
-    """Raise ValueError unless tol >= 0 (NaN included): a failed cycle
-    check must be able to name a witness cycle."""
-    if not tol >= 0.0:
-        raise ValueError(f"cycle tolerance must be nonnegative, got {tol}")
 
 
 def _cycle_check(
@@ -417,7 +407,8 @@ def _cycle_check(
     ``log_ratio[(i, j)]`` (i < j) is ln of the ratio oriented from i to j; the
     reverse orientation contributes the negative.
     """
-    check_cycle_tolerance(tol)
+    if not tol >= 0.0:  # NaN included
+        raise ValueError(f"cycle tolerance must be nonnegative, got {tol}")
     parent = _breadth_first(graph.adjacency())
     if len(parent) != graph.n:
         raise DisconnectedGraph(

@@ -368,9 +368,8 @@ def bt_mle(
     steps = int(iterations[0])
     if not converged[0]:
         raise NoConvergence("maximum likelihood iteration did not converge", steps)
-    m = m_rows[0]
-    loglik = _loglik_rows(m[None, ii] - m[None, jj], d1[None, :], d2[None, :], model)[0]
-    return MleResult(ExpectedValueVector(m), float(loglik), steps, True)
+    m = ExpectedValueVector(m_rows[0])
+    return MleResult(m, log_likelihood(data, m, model), steps, True)
 
 
 # ---------------------------------------------------------------------------

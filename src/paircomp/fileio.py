@@ -158,9 +158,7 @@ def parse_pcm(
         for j, cell in enumerate(row):
             where = f"cell ({i + 1}, {j + 1})"
             if i == j:
-                if cell == "*":
-                    raise BadDiagonal(f"{where}: diagonal entries must be 1")
-                if abs(_parse_float(cell, where) - 1.0) > 1e-12:
+                if cell == "*" or abs(_parse_float(cell, where) - 1.0) > 1e-12:
                     raise BadDiagonal(f"{where}: diagonal entries must be 1")
                 continue
             if cell == "*":

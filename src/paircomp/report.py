@@ -42,11 +42,16 @@ def _measure_key(measure: str) -> int:
 
 def _by_edges(rows: list[ResultRow]):
     """Rows grouped by (perturb, edges, measure), sorted on that key with
-    measures in canonical order."""
+    measures in canonical order.  A NaN mean (every replication excluded)
+    stays in its group only where no mean in the group is finite."""
     groups: dict[tuple[float, int, str], list[ResultRow]] = defaultdict(list)
     for r in rows:
         groups[(r.perturb, r.edges, r.measure)].append(r)
-    return sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1], _measure_key(kv[0][2])))
+    return sorted(
+        ((key, [r for r in members if math.isfinite(r.mean)] or members)
+         for key, members in groups.items()),
+        key=lambda kv: (kv[0][0], kv[0][1], _measure_key(kv[0][2])),
+    )
 
 
 def averages_by_edges(rows: list[ResultRow]):
@@ -63,8 +68,7 @@ def averages_by_edges(rows: list[ResultRow]):
 
 def best_by_edges(rows: list[ResultRow]):
     """Best and worst structure per edge count for every measure; lets a
-    k-edge best be compared against a (k+1)-edge worst directly.  A NaN mean
-    (every replication excluded) competes only where no mean is finite."""
+    k-edge best be compared against a (k+1)-edge worst directly."""
     n, model = _context(rows)
     header = (
         "n",
@@ -79,8 +83,7 @@ def best_by_edges(rows: list[ResultRow]):
     )
     table = []
     for (perturb, edges, measure), members in _by_edges(rows):
-        scored = [r for r in members if math.isfinite(r.mean)] or members
-        ordered = sorted(scored, key=lambda r: r.mean, reverse=HIGHER_IS_BETTER[measure])
+        ordered = sorted(members, key=lambda r: r.mean, reverse=HIGHER_IS_BETTER[measure])
         best, worst = ordered[0], ordered[-1]
         table.append(
             (n, perturb, model, edges, measure,
@@ -89,20 +92,16 @@ def best_by_edges(rows: list[ResultRow]):
     return header, table
 
 
-def _is_star_row(row: ResultRow) -> bool:
-    # read_results guarantees that a row's code is its class's code.
-    return row.graph_id == star_class(row.n).id
-
-
 def spanning_trees(rows: list[ResultRow]):
     """All spanning-tree structures (e = n - 1) with the star flagged."""
     n, model = _context(rows)
     trees = [r for r in rows if r.edges == n - 1]
     if not trees:
         raise MissingSlice("results contain no spanning-tree structures")
+    star = star_class(n).id
     header = ("n", "perturb", "model", "graph_id", "is_star", "measure", "mean", "stddev")
     table = [
-        (n, r.perturb, model, format_label(r.graph_id), _is_star_row(r), r.measure, r.mean,
+        (n, r.perturb, model, format_label(r.graph_id), r.graph_id == star, r.measure, r.mean,
          r.stddev)
         for r in sorted(trees, key=lambda r: (r.perturb, r.graph_id, _measure_key(r.measure)))
     ]
@@ -115,16 +114,10 @@ def perturb_sweep(rows: list[ResultRow], graph_label: str | None = None):
     Defaults to the star spanning tree when no structure is named.
     """
     n, model = _context(rows)
-    if graph_label is None:
-        stars = sorted(
-            {r.graph_id for r in rows if r.edges == n - 1 and _is_star_row(r)}
-        )
-        if not stars:
-            raise MissingSlice("results contain no star spanning tree to sweep")
-        graph_id = stars[0]
-    else:
-        graph_id = parse_label(graph_label)
+    graph_id = star_class(n).id if graph_label is None else parse_label(graph_label)
     mine = [r for r in rows if r.graph_id == graph_id]
+    if not mine and graph_label is None:
+        raise MissingSlice("results contain no star spanning tree to sweep")
     if not mine:
         raise MissingSlice(f"results contain no rows for structure {format_label(graph_id)}")
     header = ("n", "model", "graph_id", "perturb", "measure", "mean", "stddev")

@@ -15,7 +15,8 @@ import pytest
 from scipy.stats import rankdata
 
 import paircomp
-from paircomp import IPCM, ModelKind
+from paircomp import IPCM, ModelKind, core
+from paircomp.core import _breadth_first
 from paircomp.cli import _ranks_descending, build_parser, main
 from paircomp.graphs import MAX_CATALOG_N
 from paircomp.simulation import DEFAULT_EPSILON
@@ -39,6 +40,9 @@ SPORTS_PAIRS = """i,j,worse,better
 2,4,2,1
 3,4,2,1
 """
+
+# A 3-by-3 ratio matrix whose (1, 3) entry is unknown.
+PARTIAL_PCM = "1,2,*\n0.5,1,3\n*,0.33333333333333331,1\n"
 
 
 @pytest.fixture
@@ -227,7 +231,7 @@ class TestConsistency:
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     @pytest.mark.parametrize("name", ["split.csv", "split.pcm"])
     def test_bad_tolerance_exits_one_on_a_disconnected_input(self, capsys, tmp_path, name, tol):
-        # No cycle check runs on a disconnected graph; the flag is still refused.
+        # The cycle check refuses the tolerance before it tests connectivity.
         source = tmp_path / name
         source.write_text(PINNED_INPUTS[name], encoding="utf-8")
         fmt = "pcm" if name.endswith(".pcm") else "pairs"
@@ -237,6 +241,30 @@ class TestConsistency:
         assert captured.err == (
             f"paircomp: cycle tolerance must be nonnegative, got {float(tol)}\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, command, searches",
+        [
+            ("tri.pcm", ["consistency"], 1),
+            ("split.pcm", ["consistency"], 1),
+            ("tri.pcm", ["rank", "--method", "em"], 2),
+            ("part.pcm", ["rank", "--method", "em"], 2),
+        ],
+    )
+    def test_breadth_first_searches_per_call(self, monkeypatch, tmp_path, name, command, searches):
+        # The cycle check's search also decides `connected`; em searches once
+        # more, as it refuses a disconnected matrix itself.
+        source = tmp_path / name
+        source.write_text(PINNED_INPUTS.get(name, PARTIAL_PCM), encoding="utf-8")
+        calls = []
+
+        def counted(adj, source=0):
+            calls.append(source)
+            return _breadth_first(adj, source)
+
+        monkeypatch.setattr(core, "_breadth_first", counted)
+        assert main([*command, "--input", str(source), "--format", "pcm"]) == 0
+        assert len(calls) == searches
 
     def test_disconnected_input_reports_undefined(self, capsys, tmp_path):
         source = tmp_path / "split.csv"
@@ -275,6 +303,21 @@ def results_file(tmp_path_factory):
     )
     assert code == 0
     return str(out)
+
+
+def _without_data(results_file, tmp_path) -> Path:
+    """A copy of the results in which every replication of g1, the first
+    3-edge class, and of g6, the only 6-edge class, is excluded: their
+    means are NaN."""
+    lines = Path(results_file).read_text(encoding="utf-8").splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        cells = line.split(",")
+        if cells[3] in ("g1", "g6"):
+            cells[7:] = ["nan", "nan", "8", "8\n"]
+            lines[k] = ",".join(cells)
+    emptied = tmp_path / "emptied.csv"
+    emptied.write_text("".join(lines), encoding="utf-8")
+    return emptied
 
 
 class TestSimulateAndReport:
@@ -338,16 +381,7 @@ class TestSimulateAndReport:
         assert options["epsilon"].default == DEFAULT_EPSILON
 
     def test_best_by_edges_skips_classes_without_data(self, capsys, tmp_path, results_file):
-        # Every replication of g1, the first 3-edge class, and of g6, the only
-        # 6-edge class, excluded: their means are NaN.
-        lines = Path(results_file).read_text(encoding="utf-8").splitlines(keepends=True)
-        for k, line in enumerate(lines):
-            cells = line.split(",")
-            if cells[3] in ("g1", "g6"):
-                cells[7:] = ["nan", "nan", "8", "8\n"]
-                lines[k] = ",".join(cells)
-        emptied = tmp_path / "emptied.csv"
-        emptied.write_text("".join(lines), encoding="utf-8")
+        emptied = _without_data(results_file, tmp_path)
         table = run_json(capsys, ["report", "--results", str(emptied),
                                   "--figure", "best-by-edges", "--json"])
         full = {(r["edges"], r["measure"]): r for r in run_json(
@@ -365,6 +399,55 @@ class TestSimulateAndReport:
                 assert np.isnan(row["best_mean"]) and np.isnan(row["worst_mean"])
             else:
                 assert row == full[key]
+
+    def test_averages_by_edges_skips_classes_without_data(self, capsys, tmp_path, results_file):
+        emptied = _without_data(results_file, tmp_path)
+        table = run_json(capsys, ["report", "--results", str(emptied),
+                                  "--figure", "averages-by-edges", "--json"])
+        full = {(r["edges"], r["measure"]): r for r in run_json(
+            capsys,
+            ["report", "--results", results_file, "--figure", "averages-by-edges", "--json"],
+        )}
+        means = {(r.graph_id, r.measure): r.mean for r in read_results(results_file)}
+        assert len(table) == len(full)
+        for row in table:
+            key = (row["edges"], row["measure"])
+            if row["edges"] == 3:
+                # g2 alone has data, so its mean is the average.
+                assert (row["mean"], row["classes"]) == (means[(2, row["measure"])], 1)
+            elif row["edges"] == 6:
+                # No class has data: the row averages g6's NaN.
+                assert np.isnan(row["mean"]) and row["classes"] == 1
+            else:
+                assert row == full[key]
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_simulate_refuses_an_unwritable_out_before_it_runs(
+        self, capsys, monkeypatch, tmp_path, where
+    ):
+        def never(*args, **kwargs):
+            pytest.fail("simulate ran before it checked --out")
+
+        monkeypatch.setattr(paircomp.cli, "run", never)
+        target = tmp_path / where
+        argv = ["simulate", "--n", "4", "--perturb", "0.1", "--sims", "4", "--seed", "7"]
+        assert main([*argv, "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("paircomp: ") and str(target) in err
+
+    def test_a_failed_simulate_leaves_an_existing_out_as_it_was(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def failing(*args, **kwargs):
+            raise ValueError("the run failed")
+
+        monkeypatch.setattr(paircomp.cli, "run", failing)
+        target = tmp_path / "results.csv"
+        target.write_text("kept\n", encoding="utf-8")
+        argv = ["simulate", "--n", "4", "--perturb", "0.1", "--sims", "4", "--seed", "7"]
+        assert main([*argv, "--out", str(target)]) == 1
+        assert capsys.readouterr().err == "paircomp: the run failed\n"
+        assert target.read_text(encoding="utf-8") == "kept\n"
 
     def test_missing_slice_exits_one(self, capsys, results_file):
         code = main(

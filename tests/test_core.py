@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,37 @@ class TestTypes:
         m = ExpectedValueVector.gauged([4.0, 5.0, 3.5])
         assert m[0] == 0.0
         assert m[1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "kind, values, message",
+        [
+            (WeightVector, [], "weights must be a non-empty vector"),
+            (WeightVector, [[0.5, 0.5]], "weights must be a non-empty vector"),
+            (WeightVector, [1.5, -0.5], "weights must be positive and finite"),
+            (WeightVector, [math.nan, 1.0], "weights must be positive and finite"),
+            (WeightVector, [0.5, 0.6], "weights must sum to 1"),
+            (ExpectedValueVector, [], "expected values must be a non-empty vector"),
+            (ExpectedValueVector, 0.0, "expected values must be a non-empty vector"),
+            (ExpectedValueVector, [0.0, math.inf], "expected values must be finite"),
+            (ExpectedValueVector, [0.1, 0.2], r"first coordinate must be exactly 0 \(gauge\)"),
+        ],
+    )
+    def test_vector_refusals_name_the_rule(self, kind, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kind(values)
+
+    @pytest.mark.parametrize(
+        "vector", [WeightVector([0.25, 0.75]), ExpectedValueVector([0.0, -1.5])]
+    )
+    def test_vectors_are_read_only_and_frozen(self, vector):
+        with pytest.raises(ValueError):
+            vector.values[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vector.values = np.ones(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vector.extra = 1
+        assert len(vector) == 2 and vector[1] == float(vector.values[1])
+        assert repr(vector) == f"{type(vector).__name__}(values={vector.values!r})"
 
     def test_graph_basics(self):
         g = ComparisonGraph(4, [(1, 0), (2, 3)])

@@ -728,6 +728,15 @@ class TestLogLikelihood:
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
 
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    @pytest.mark.parametrize(
+        "fixture", ["sports_counts", "probs_modified", "probs_incomplete", "league"]
+    )
+    def test_fit_reports_the_log_likelihood_of_its_estimate(self, request, fixture, model):
+        data = DataMatrix(3, LEAGUE) if fixture == "league" else request.getfixturevalue(fixture)
+        fit = bt_mle(data, model)
+        assert fit.loglik == log_likelihood(data, fit.m, model)
+
     def test_gradient_vanishes_at_the_optimum(self, probs_modified):
         for model in (LOGISTIC, NORMAL):
             result = bt_mle(probs_modified, model)
