@@ -54,6 +54,8 @@ def _float_list(values) -> str:
 def _load_input(args):
     if args.format == "pairs":
         return fileio.parse_pairs(args.input, n=args.n), None
+    if args.n is not None:
+        build_parser().error("--n needs --format pairs")
     return None, fileio.parse_pcm(args.input)
 
 
@@ -182,6 +184,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.graph is not None and args.figure != "perturb-sweep":
+        build_parser().error("--graph needs --figure perturb-sweep")
     rows = []
     for path in args.results:
         rows.extend(fileio.read_results(path))

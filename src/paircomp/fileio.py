@@ -5,9 +5,9 @@ leading byte-order mark is skipped on reading.  Floats are written with 17
 significant digits so that emit(parse(file)) reproduces the numbers bit for
 bit.  Item indices are 1-based in files and 0-based in memory.  Owners:
 :func:`format_table` writes every table and :func:`format_json` every JSON
-document; the fields of :class:`ResultRow` give the results header and cell
-types, and those of :class:`~paircomp.graphs.GraphProperties` a catalog
-entry's properties; :mod:`paircomp.graphs` spells labels and hex codes.
+document; the fields of :class:`ResultRow` give the results header, and
+those of :class:`~paircomp.graphs.GraphProperties` a catalog entry's
+properties; :mod:`paircomp.graphs` spells labels and hex codes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import string
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterable, TextIO, get_type_hints
+from typing import Iterable, TextIO
 
 from .core import IPCM, DataMatrix, ModelKind, RECIPROCITY_TOL, pair_order
 from .errors import (
@@ -49,27 +49,28 @@ PAIRS_HEADER = ("i", "j", "worse", "better")
 FILE_RECIPROCITY_TOL = 1e-9
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def format_json(payload) -> str:
     """A JSON document: indented by two spaces, ending in a newline."""
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _speller(cell):
+    """The formatter of a CSV column whose first cell is ``cell``."""
+    if isinstance(cell, bool):
+        return ("false", "true").__getitem__
+    return "%.17g".__mod__ if isinstance(cell, float) else str
+
+
 def format_table(header, table, as_json: bool = False) -> str:
-    """A table as CSV (floats with 17 significant digits, lower-case
-    booleans) or as a JSON list of one object per row."""
+    """A table as CSV or as a JSON list of one object per row.
+
+    A CSV column is spelled by the type of its first cell, as every table
+    of the package has one type per column: floats with 17 significant
+    digits, booleans in lower case, anything else by str."""
     if as_json:
         return format_json([dict(zip(header, row)) for row in table])
-
-    def cell(value) -> str:
-        if isinstance(value, bool):
-            return str(value).lower()
-        return _fmt(value) if isinstance(value, float) else str(value)
-
-    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *table])
+    columns = [map(_speller(column[0]), column) for column in zip(*table)]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*columns)])
 
 
 def _rows_of(source: str | Path | TextIO) -> list[list[str]]:
@@ -189,7 +190,7 @@ def parse_pcm(
 
 def emit_pcm(pcm: IPCM) -> str:
     """The matrix as :func:`parse_pcm` reads it, ``*`` for a missing entry."""
-    return "".join(",".join("*" if math.isnan(v) else _fmt(v) for v in row) + "\n"
+    return "".join(",".join("*" if math.isnan(v) else "%.17g" % v for v in row) + "\n"
                    for row in pcm.as_array())
 
 
@@ -215,10 +216,6 @@ class ResultRow:
 
 
 RESULTS_HEADER = tuple(f.name for f in fields(ResultRow))
-_RESULT_TYPES = get_type_hints(ResultRow)
-#: One results line: floats with 17 significant digits (as :func:`_fmt`), the rest by str.
-_RESULT_LINE = ",".join("%.17g" if _RESULT_TYPES[name] is float else "%s"
-                        for name in RESULTS_HEADER) + "\n"
 _MODELS = frozenset(kind.value for kind in ModelKind)
 _HEX_DIGITS = frozenset(string.hexdigits)
 
@@ -234,9 +231,7 @@ def results_table(summary: SimulationSummary, as_json: bool = False) -> str:
             stats = summary.stats[(cls.id, measure)]
             table.append((*structure, measure, stats.mean, stats.stddev, config.num_sims,
                           config.num_sims - stats.count))
-    if as_json:
-        return format_table(RESULTS_HEADER, table, as_json)
-    return ",".join(RESULTS_HEADER) + "\n" + "".join(_RESULT_LINE % cells for cells in table)
+    return format_table(RESULTS_HEADER, table, as_json)
 
 
 def write_results(summary: SimulationSummary, out: TextIO) -> None:

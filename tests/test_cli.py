@@ -266,6 +266,15 @@ class TestConsistency:
         assert main([*command, "--input", str(source), "--format", "pcm"]) == 0
         assert len(calls) == searches
 
+    @pytest.mark.parametrize("command", [["rank", "--method", "llsm"], ["consistency"]])
+    def test_item_count_with_a_matrix_is_a_usage_error(self, capsys, pcm_file, command):
+        # A matrix has as many items as rows; --n would be ignored.
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--input", pcm_file, "--format", "pcm", "--n", "5"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == "paircomp: error: --n needs --format pairs"
+
     def test_disconnected_input_reports_undefined(self, capsys, tmp_path):
         source = tmp_path / "split.csv"
         source.write_text("i,j,worse,better\n1,2,1,1\n3,4,1,1\n", encoding="utf-8")
@@ -371,6 +380,17 @@ class TestSimulateAndReport:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "results repeat perturb 0.15, g1, eu_m" in captured.err
+
+    @pytest.mark.parametrize("figure", ["averages-by-edges", "best-by-edges", "spanning-trees"])
+    def test_graph_with_another_figure_is_a_usage_error(self, capsys, results_file, figure):
+        # Only the sweep follows one structure; the other figures would ignore --graph.
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--results", results_file, "--figure", figure, "--graph", "nonsense"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "paircomp: error: --graph needs --figure perturb-sweep"
+        )
 
     def test_simulate_options_come_from_their_owners(self):
         commands = next(action for action in build_parser()._actions
@@ -542,6 +562,8 @@ PINNED_INPUTS = {
     "tri.pcm": "1,2,4\n0.5,1,3\n0.25,0.33333333333333331,1\n",
     "split.csv": "i,j,worse,better\n1,2,1,1\n3,4,1,1\n",
     "split.pcm": "1,2,*,*\n0.5,1,*,*\n*,*,1,3\n*,*,0.33333333333333331,1\n",
+    "one.csv": "i,j,worse,better\n",
+    "one.pcm": "1\n",
 }
 
 #: argv -> (exit code, stdout, stderr), byte for byte.
@@ -703,6 +725,126 @@ consistency: undefined (graph not connected)
 {
   "connected": false,
   "consistent": null
+}
+""",
+        "",
+    ),
+    # One item: each method returns weight 1 without a step (em: lambda_max 1, 0 iterations).
+    "rank --input one.csv --n 1 --method bt --json": (
+        0,
+        """\
+{
+  "method": "bt",
+  "m": [
+    0.0
+  ],
+  "log_likelihood": 0.0,
+  "iterations": 0,
+  "n": 1,
+  "weights": [
+    1.0
+  ],
+  "ranks": [
+    1.0
+  ],
+  "connected": true,
+  "ford_condition": true,
+  "consistent": true,
+  "max_cycle_deviation": 0.0,
+  "witness": null
+}
+""",
+        "",
+    ),
+    "rank --input one.csv --n 1 --method thurstone --json": (
+        0,
+        """\
+{
+  "method": "thurstone",
+  "m": [
+    0.0
+  ],
+  "log_likelihood": 0.0,
+  "iterations": 0,
+  "n": 1,
+  "weights": [
+    1.0
+  ],
+  "ranks": [
+    1.0
+  ],
+  "connected": true,
+  "ford_condition": true,
+  "consistent": true,
+  "max_cycle_deviation": 0.0,
+  "witness": null
+}
+""",
+        "",
+    ),
+    "rank --input one.pcm --format pcm --method llsm --json": (
+        0,
+        """\
+{
+  "method": "llsm",
+  "n": 1,
+  "weights": [
+    1.0
+  ],
+  "ranks": [
+    1.0
+  ],
+  "connected": true,
+  "consistent": true,
+  "max_cycle_deviation": 0.0,
+  "witness": null
+}
+""",
+        "",
+    ),
+    "rank --input one.pcm --format pcm --method em --json": (
+        0,
+        """\
+{
+  "method": "em",
+  "lambda_max": 1.0,
+  "iterations": 0,
+  "n": 1,
+  "weights": [
+    1.0
+  ],
+  "ranks": [
+    1.0
+  ],
+  "connected": true,
+  "consistent": true,
+  "max_cycle_deviation": 0.0,
+  "witness": null
+}
+""",
+        "",
+    ),
+    "consistency --input one.csv --n 1 --json": (
+        0,
+        """\
+{
+  "connected": true,
+  "ford_condition": true,
+  "consistent": true,
+  "max_cycle_deviation": 0.0,
+  "witness": null
+}
+""",
+        "",
+    ),
+    "consistency --input one.pcm --format pcm --json": (
+        0,
+        """\
+{
+  "connected": true,
+  "consistent": true,
+  "max_cycle_deviation": 0.0,
+  "witness": null
 }
 """,
         "",

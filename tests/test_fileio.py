@@ -30,6 +30,7 @@ from paircomp import (
 from paircomp.fileio import (
     emit_pairs,
     emit_pcm,
+    format_table,
     graphs_json,
     parse_pairs,
     parse_pcm,
@@ -403,6 +404,49 @@ FIXED_JSON = (
 )
 
 
+#: A table with a column of each type the package writes (bool, int, str,
+#: float) and its bytes.  The CSV gives 1e16 17 significant digits, where str
+#: would spell it 1e+16.
+MIXED_HEADER = ("flag", "count", "name", "value")
+MIXED_TABLE = [(True, 3, "g1", 0.1), (False, -2, "x y", math.nan), (True, 0, "", 1e16),
+               (False, 12, "tau", -0.0)]
+MIXED_CSV = """\
+flag,count,name,value
+true,3,g1,0.10000000000000001
+false,-2,x y,nan
+true,0,,10000000000000000
+false,12,tau,-0
+"""
+MIXED_JSON = """\
+[
+  {
+    "flag": true,
+    "count": 3,
+    "name": "g1",
+    "value": 0.1
+  },
+  {
+    "flag": false,
+    "count": -2,
+    "name": "x y",
+    "value": NaN
+  },
+  {
+    "flag": true,
+    "count": 0,
+    "name": "",
+    "value": 1e+16
+  },
+  {
+    "flag": false,
+    "count": 12,
+    "name": "tau",
+    "value": -0.0
+  }
+]
+"""
+
+
 class TestResultsBytes:
     def test_csv_bytes_are_pinned(self):
         buffer = io.StringIO()
@@ -411,6 +455,15 @@ class TestResultsBytes:
 
     def test_json_bytes_are_pinned(self):
         assert results_table(_fixed_summary(), as_json=True) == FIXED_JSON
+
+    @pytest.mark.parametrize(
+        "table, csv_text, json_text",
+        [([], "flag,count,name,value\n", "[]\n"), (MIXED_TABLE, MIXED_CSV, MIXED_JSON)],
+        ids=["empty", "mixed"],
+    )
+    def test_table_bytes_are_pinned(self, table, csv_text, json_text):
+        assert format_table(MIXED_HEADER, table) == csv_text
+        assert format_table(MIXED_HEADER, table, as_json=True) == json_text
 
     @pytest.mark.parametrize(
         "column, cell, message",
