@@ -23,6 +23,7 @@ from paircomp import (
     em,
     enumerate_connected,
     exact_probabilities,
+    ford_condition,
     llsm,
     log_likelihood,
     log_likelihood_gradient,
@@ -43,6 +44,7 @@ from paircomp.estimators import (
     _newton_rows,
     _pair_data,
 )
+from paircomp.simulation import SimulationConfig, _draw_rows, _structure_mask
 from tests.conftest import GOLDEN_TOL, random_connected_graph, random_merits
 
 LOGISTIC = ModelKind.LOGISTIC
@@ -677,6 +679,101 @@ class TestNewtonKernel:
             _newton_rows(d1, d2, ii, jj, n, model, tol, 50)
             assert sum(per_step) == sum(alone)
         assert stopped == 5 * 6 + 3
+
+
+def _one_sided(rng, d1, d2, ii, jj, n):
+    """Zero one amount of up to two pairs of each row of (d1, d2), in place,
+    wherever the directed comparison graph stays strongly connected."""
+    for r in range(len(d1)):
+        zeroed = 0
+        for s in rng.permutation(np.flatnonzero(d1[r] + d2[r])):
+            side = (d1, d2)[int(rng.integers(2))]
+            kept, side[r, s] = side[r, s], 0.0
+            entries = {(i, j): (a, b) for i, j, a, b in zip(ii, jj, d1[r], d2[r]) if a + b}
+            if ford_condition(DataMatrix(n, entries)):
+                zeroed += 1
+                if zeroed == 2:
+                    break
+            else:
+                side[r, s] = kept
+
+
+def _oracle_corpus(model: ModelKind):
+    """Blocks (d1, d2, ii, jj, n) of rows to check against the exact optimum:
+    simulate's rows at three perturbations, every structure of replications
+    [start, stop) at n = 4 and 5 and every fourth at n = 6; leagues on random
+    graphs with one-sided pairs, which start from m = 0; and the halving
+    fixtures, whose third row has no optimum.  Under the logistic model the
+    steps of 19 converging rows halve: 2 of n = 4 replication 2 at perturb
+    0.9, and 13 of n = 5 and 4 of n = 6 replication 6 at perturb 0.6."""
+    for n, start, stop, every in ((4, 0, 3, 1), (5, 6, 7, 1), (6, 6, 7, 4)):
+        ii, jj = np.array(pair_order(n), dtype=np.intp).T
+        present = _structure_mask(n)[::every]
+        for perturb in (0.15, 0.6, 0.9):
+            config = SimulationConfig(n, perturb, stop, 7, model)
+            d1 = _draw_rows(config, start, stop)[:, None, :]
+            yield (np.where(present, d1, 0.0).reshape(-1, len(ii)),
+                   np.where(present, 1.0 - d1, 0.0).reshape(-1, len(ii)), ii, jj, n)
+    rng = np.random.default_rng(89)
+    for n in (3, 4, 5, 6):
+        d1, d2, ii, jj = _league_rows(rng, n, 6)
+        _one_sided(rng, d1, d2, ii, jj, n)
+        yield d1, d2, ii, jj, n
+    yield (*_halving_rows()[:4], 4)
+
+
+def _exact_optimum(mpmath, d1, d2, ii, jj, n, model: ModelKind, start):
+    """The likelihood optimum of one row in the m_1 = 0 gauge to 40 digits:
+    Newton's method in mpmath from ``start``, with the pair slopes and
+    curvatures written out here, apart from :func:`estimators._pair_terms`."""
+    mpf = mpmath.mpf
+    with mpmath.workdps(40):
+        x = [mpf(float(v)) for v in start]
+        for _ in range(30):
+            grad, hess = [mpf(0)] * n, mpmath.zeros(n - 1, n - 1)
+            for a, b, i, j in zip(d1, d2, ii, jj):
+                a, b, delta = mpf(float(a)), mpf(float(b)), x[i] - x[j]
+                if model is LOGISTIC:
+                    p = 1 / (1 + mpmath.exp(-delta))
+                    slope, curvature = b * (1 - p) - a * p, (a + b) * p * (1 - p)
+                else:
+                    phi = mpmath.npdf(delta)
+                    up, down = phi / mpmath.ncdf(delta), phi / mpmath.ncdf(-delta)
+                    slope = b * up - a * down
+                    curvature = b * up * (delta + up) + a * down * (down - delta)
+                grad[i] += slope
+                grad[j] -= slope
+                for u, v, c in ((i, i, curvature), (j, j, curvature),
+                                (i, j, -curvature), (j, i, -curvature)):
+                    if u and v:
+                        hess[u - 1, v - 1] += c
+            step = mpmath.lu_solve(hess, mpmath.matrix(grad[1:]))
+            x[1:] = [v + dv for v, dv in zip(x[1:], step)]
+            if max(abs(dv) for dv in step) < mpf(10) ** -32:
+                return x
+    raise AssertionError("the 40-digit Newton refit did not converge")
+
+
+class TestOptimumOracle:
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_converged_rows_are_within_tol_of_the_optimum(self, model):
+        # "Converged" means ||m - m*||_inf <= tol.  At 1e-6 and 1e-4 the
+        # stop's bound, not rounding, sets how close a row gets.
+        mpmath = pytest.importorskip("mpmath")
+        tols = (DEFAULT_MLE_TOL, 1e-6, 1e-4)
+        checked = 0
+        for d1, d2, ii, jj, n in _oracle_corpus(model):
+            fits = [_newton_rows(d1, d2, ii, jj, n, model, tol, 50) for tol in tols]
+            # Only the halving fixture's row without an optimum may fail.
+            assert all(np.array_equal(fit[2], fits[0][2]) for fit in fits)
+            assert (~fits[0][2]).sum() <= 1
+            for r in np.flatnonzero(fits[0][2]):
+                optimum = _exact_optimum(mpmath, d1[r], d2[r], ii, jj, n, model, fits[0][0][r])
+                for tol, (m, _, _) in zip(tols, fits):
+                    error = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(m[r], optimum))
+                    assert error <= tol, (n, r, tol, float(error))
+                checked += 1
+        assert checked == 3 * (3 * 6 + 21 + 28) + 4 * 6 + 3
 
 
 class TestLogLikelihood:
