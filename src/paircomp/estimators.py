@@ -15,9 +15,11 @@ are concave and maximized by one batched damped Newton solver, whose Hessian
 is the Laplacian weighted by the curvature of ln F on each pair.  Each point
 it visits is evaluated once: the link's special functions there give both
 the log-likelihood its line search compares and the derivatives of the next
-step.  A fit stops on its first full Newton step below the tolerance and
-takes that step, unevaluated; this bounds the error because convergence is
-quadratic near the optimum.  It starts from the least-squares solution of
+step.  The tolerance bounds each fit's distance to the optimum in max norm:
+convergence is quadratic near the optimum, so a full step of size s leaves
+about K s^2 to go, and a fit stops on its first full step whose estimate
+of that error is below a tenth of the tolerance and takes the step,
+unevaluated.  It starts from the least-squares solution of
 F^-1(d2 / (d1 + d2)) = m_i - m_j, a unit-weight solve: on consistent data
 every equation holds exactly, and the paper shows the least-squares and
 likelihood optima then coincide, so the start is the MLE; under noise it is
@@ -48,7 +50,7 @@ from .core import (
 )
 from .errors import DisconnectedGraph, FordViolation, NoConvergence
 
-#: Maximum likelihood has converged when the full Newton step's max norm is below this.
+#: Bound on a maximum likelihood fit's distance ||m - m*||_inf to the optimum.
 DEFAULT_MLE_TOL = 1e-10
 #: Relative residual ||A w - lambda w||_inf the Perron eigenpair must meet.
 DEFAULT_EIG_TOL = 1e-12
@@ -270,11 +272,14 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     likelihood optimum coincide on consistent data, complete or not, so
     there the first step is below rounding; under noise the start is close
     to the optimum.  The negative Hessian is the graph Laplacian weighted by
-    the pair curvatures.  A row stops on its first full Newton step below
-    ``tol`` in max norm: it takes that step without evaluating it or
-    searching it, and is frozen.  Every row's trajectory is therefore
-    identical to a run of that row alone.  Returns (m rows, iterations per
-    row, converged mask).
+    the pair curvatures.  ``tol`` bounds ||m - m*||_inf.  A full step of max
+    norm s leaves about K s^2 to go; K is estimated as max(s / s'^2, 1) from
+    the row's previous full step s' (K = 1 on the first step).  A row stops
+    on its first step with K s^2 <= tol / 10: it takes that step without
+    evaluating it or searching it, and is frozen.  The estimate uses the
+    row's own steps only, so every row's trajectory is identical to a run
+    of that row alone.  Returns (m rows, iterations per row, converged
+    mask).
 
     The iteration runs on x = m[:, 1:].  Rows still iterating are kept as a
     prefix of the working arrays, which are compacted only when a row stops.
@@ -289,19 +294,25 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     current, g_pair, h_pair = _pair_terms(plan.differences(x), d1, d2, model, slice(None))
     iterations = np.zeros(rows, dtype=np.intp)
     active = np.arange(rows)
+    last = np.ones(rows)
+    bound = 0.1 * tol
     threshold = len(ii) * np.finfo(float).eps
     for step in range(1, max_iter + 1):
         grad = plan.vertex_sums(g_pair)[:, 1:]
         direction = plan.solve(h_pair, grad)
         moved = x + direction
-        # A row whose full step is below tol stops on it, unevaluated.
-        done = np.abs(direction).max(axis=1) < tol
+        # K s^2 <= tol / 10 for K = max(s / last^2, 1), as two tests free of
+        # division: last^2 is 0 for a step below 1e-162.
+        size = np.abs(direction).max(axis=1)
+        square = size * size
+        done = (square <= bound) & (square * size <= bound * (last * last))
+        last = size
         if done.any():
             m[active[done], 1:] = moved[done]
             iterations[active[done]] = step
             going = ~done
-            active, x, moved, direction, grad, d1, d2, current = (
-                a[going] for a in (active, x, moved, direction, grad, d1, d2, current)
+            active, x, moved, direction, grad, d1, d2, current, last = (
+                a[going] for a in (active, x, moved, direction, grad, d1, d2, current, last)
             )
         if active.size == 0:
             break
@@ -345,9 +356,11 @@ def bt_mle(
 
     Requires the Ford condition (strongly connected directed comparison
     graph), which is necessary and sufficient for a unique maximum.
-    Real-valued amounts are fine; only ratios matter.  The fit stops on its
-    first full Newton step whose max norm is below ``tol`` > 0 and takes that
-    step; ``max_iter`` >= 1.
+    Real-valued amounts are fine; only ratios matter.  ``tol`` > 0 bounds the
+    distance ||m - m*||_inf to the optimum: the fit stops on its first full
+    Newton step whose estimate of the error it leaves, from the sizes of this
+    step and the last, is below ``tol`` / 10, and takes that step;
+    ``max_iter`` >= 1.
     """
     if not (tol > 0.0 and max_iter >= 1):
         raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")

@@ -602,16 +602,16 @@ witness: 1-2-3
   "method": "bt",
   "m": [
     0.0,
-    0.2498657660118929,
-    0.7485218799400954
+    0.2498657660118928,
+    0.7485218799400956
   ],
   "log_likelihood": -1.976136957581186,
-  "iterations": 3,
+  "iterations": 2,
   "n": 3,
   "weights": [
-    0.22739023550057924,
+    0.2273902355005793,
     0.29193565157229634,
-    0.48067411292712425
+    0.48067411292712436
   ],
   "ranks": [
     3.0,
