@@ -294,25 +294,26 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     current, g_pair, h_pair = _pair_terms(plan.differences(x), d1, d2, model, slice(None))
     iterations = np.zeros(rows, dtype=np.intp)
     active = np.arange(rows)
-    last = np.ones(rows)
+    last_square = np.ones(rows)
     bound = 0.1 * tol
     threshold = len(ii) * np.finfo(float).eps
     for step in range(1, max_iter + 1):
         grad = plan.vertex_sums(g_pair)[:, 1:]
         direction = plan.solve(h_pair, grad)
         moved = x + direction
-        # K s^2 <= tol / 10 for K = max(s / last^2, 1), as two tests free of
-        # division: last^2 is 0 for a step below 1e-162.
+        # K s^2 <= tol / 10 with K = max(s / last^2, 1), multiplied through
+        # by last^2 to need no division: last^2 is 0 after a step below 1e-162.
         size = np.abs(direction).max(axis=1)
         square = size * size
-        done = (square <= bound) & (square * size <= bound * (last * last))
-        last = size
+        done = np.maximum(size, last_square) * square <= bound * last_square
+        last_square = square
         if done.any():
             m[active[done], 1:] = moved[done]
             iterations[active[done]] = step
             going = ~done
-            active, x, moved, direction, grad, d1, d2, current, last = (
-                a[going] for a in (active, x, moved, direction, grad, d1, d2, current, last)
+            active, x, moved, direction, grad, d1, d2, current, last_square = (
+                a[going]
+                for a in (active, x, moved, direction, grad, d1, d2, current, last_square)
             )
         if active.size == 0:
             break

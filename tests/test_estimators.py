@@ -380,7 +380,7 @@ class TestBtMle:
     def test_consistent_data_is_solved_by_the_least_squares_start(self, model):
         # The paper's theorem: on consistent data, complete or not, the
         # least-squares fit of the linked data is the MLE, so the first Newton
-        # step is below the tolerance.
+        # step is below rounding and ends the fit.
         rng = np.random.default_rng(61)
         for _ in range(20):
             n = int(rng.integers(2, 7))
