@@ -4,7 +4,8 @@ Comparison data lives in two equivalent representations: count/probability
 pairs per compared pair of items ("worse" and "better" amounts), and positive
 reciprocal ratio matrices.  This module defines both, the conversions between
 them, the cycle-product consistency tests, and the strong-connectivity
-existence condition for maximum likelihood evaluation.
+existence condition for maximum likelihood evaluation.  It owns each model's
+link: a :class:`ModelKind` member carries F, ln F, F^-1 and the pair terms.
 
 Items are indexed 0..n-1 throughout the in-memory API; file formats use
 1-based labels (see :mod:`paircomp.fileio`).  This module owns the order of
@@ -30,31 +31,46 @@ DEFAULT_CYCLE_TOL = 1e-9
 #: Relative tolerance enforced on a_ij * a_ji = 1 when constructing an IPCM.
 RECIPROCITY_TOL = 1e-12
 
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _logistic_terms(delta, d1, d2, searched):
+    """The logistic's pair terms (see :class:`ModelKind`): -(ln F)'' is p(1 - p)."""
+    log_pos, log_neg = log_expit(delta[searched]), log_expit(-delta[searched])
+    s_pos, s_neg = expit(-delta), expit(delta)
+    return log_pos, log_neg, d2 * s_pos - d1 * s_neg, (d1 + d2) * s_pos * s_neg
+
+
+def _normal_terms(delta, d1, d2, searched):
+    """The normal's pair terms: ln Phi(+-delta) give the log-likelihood and
+    the Mills ratios s = phi / Phi at +-delta, stable for very negative delta
+    (ln phi is the same at both), and -(ln F)'' is s(delta + s)."""
+    log_pos, log_neg = log_ndtr(delta), log_ndtr(-delta)
+    log_phi = -0.5 * delta * delta - _LOG_SQRT_2PI
+    s_pos, s_neg = np.exp(log_phi - log_pos), np.exp(log_phi - log_neg)
+    up, down = d2 * s_pos, d1 * s_neg
+    slope, curvature = up - down, up * (delta + s_pos) + down * (s_neg - delta)
+    return log_pos[searched], log_neg[searched], slope, curvature
+
 
 class ModelKind(enum.Enum):
-    """Choice of outcome distribution: logistic (Bradley-Terry) or
-    standard normal (Thurstone)."""
+    """Choice of outcome distribution, each member with its link: logistic
+    (Bradley-Terry) or standard normal (Thurstone).  Elementwise, ``cdf`` is
+    F, ``log_cdf`` ln F (stable for very negative x) and ``inverse_cdf``
+    F^-1.  ``pair_terms(delta, d1, d2, searched)`` maps each row's pair
+    differences delta = m_i - m_j to ln F(delta) and ln F(-delta) of the rows
+    ``searched`` (an index or a slice), and every pair's slope and negated
+    curvature in delta of d1 ln F(-delta) + d2 ln F(delta), which is positive
+    so that the reduced Laplacian it weights is definite on connected graphs."""
 
-    LOGISTIC = "logistic"
-    NORMAL = "normal"
+    LOGISTIC = "logistic", expit, log_expit, logit, _logistic_terms
+    NORMAL = "normal", ndtr, log_ndtr, ndtri, _normal_terms
 
-    def cdf(self, x):
-        """Cumulative distribution function F evaluated elementwise."""
-        if self is ModelKind.LOGISTIC:
-            return expit(x)
-        return ndtr(x)
-
-    def log_cdf(self, x):
-        """ln F(x), computed without underflow for very negative x."""
-        if self is ModelKind.LOGISTIC:
-            return log_expit(x)
-        return log_ndtr(x)
-
-    def inverse_cdf(self, p):
-        """The quantile function F^-1 evaluated elementwise."""
-        if self is ModelKind.LOGISTIC:
-            return logit(p)
-        return ndtri(p)
+    def __new__(cls, value, cdf, log_cdf, inverse_cdf, pair_terms):
+        member = object.__new__(cls)
+        member._value_, member.cdf, member.log_cdf = value, cdf, log_cdf
+        member.inverse_cdf, member.pair_terms = inverse_cdf, pair_terms
+        return member
 
 
 @functools.lru_cache(maxsize=8)  # bounded, as files may give any n

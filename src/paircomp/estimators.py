@@ -101,31 +101,11 @@ def log_likelihood(data: DataMatrix, m: ExpectedValueVector, model: ModelKind) -
     return float(_pair_terms(delta[None, :], d1[None, :], d2[None, :], model, slice(None))[0][0])
 
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def _pair_terms(delta, d1, d2, model: ModelKind, searched):
-    """One evaluation of each row's point, from its pair differences
-    delta = m_i - m_j: the log-likelihood of the rows ``searched`` (an index
-    or a slice), and every pair's slope and negated curvature in delta of
-    its term d1 ln F(-delta) + d2 ln F(delta).  With s = F'/F, -(ln F)'' is
-    p(1 - p) for the logistic (even in delta) and s(delta + s) for the
-    normal: both are positive, so the reduced Laplacian they weight is
-    definite on connected graphs."""
-    if model is ModelKind.LOGISTIC:
-        log_pos, log_neg = model.log_cdf(delta[searched]), model.log_cdf(-delta[searched])
-        s_pos, s_neg = model.cdf(-delta), model.cdf(delta)
-        slope, curvature = d2 * s_pos - d1 * s_neg, (d1 + d2) * s_pos * s_neg
-    else:
-        # ln Phi(+-delta) give the log-likelihood and the Mills ratios
-        # phi(x) / Phi(x) at x = +-delta, stable for very negative x; ln phi
-        # is the same at both.
-        log_pos, log_neg = model.log_cdf(delta), model.log_cdf(-delta)
-        log_phi = -0.5 * delta * delta - _LOG_SQRT_2PI
-        s_pos, s_neg = np.exp(log_phi - log_pos), np.exp(log_phi - log_neg)
-        up, down = d2 * s_pos, d1 * s_neg
-        slope, curvature = up - down, up * (delta + s_pos) + down * (s_neg - delta)
-        log_pos, log_neg = log_pos[searched], log_neg[searched]
+    """One evaluation of each row's point: the log-likelihood of the rows
+    ``searched`` and every pair's slope and negated curvature, from the
+    link's ``model.pair_terms`` (see :class:`paircomp.core.ModelKind`)."""
+    log_pos, log_neg, slope, curvature = model.pair_terms(delta, d1, d2, searched)
     loglik = (d1[searched] * log_neg + d2[searched] * log_pos).sum(axis=1)
     return loglik, slope, curvature
 
@@ -199,7 +179,9 @@ def log_likelihood_gradient(
     data: DataMatrix, m: ExpectedValueVector, model: ModelKind
 ) -> np.ndarray:
     """Gradient of :func:`log_likelihood` with respect to every m_i (length n;
-    drop the first coordinate to stay in the m_1 = 0 gauge)."""
+    drop the first coordinate to stay in the m_1 = 0 gauge).  Normal slopes
+    lose accuracy as delta^2 grows: relative 1e-11 at |m_i - m_j| = 1e3 and
+    1e-4 at 1e6; wrong from about 1e8, not finite beyond about 2.3e9."""
     if len(m) != data.n:
         raise ValueError("expected value vector does not match item count")
     ii, jj, d1, d2 = _pair_data(data)
@@ -265,21 +247,22 @@ def _least_squares_start(d1, d2, model: ModelKind, plan: _Incidence):
 
 def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     """Damped Newton ascent of the concave log-likelihood in the m_1 = 0
-    gauge, one independent problem per row of (d1, d2).
+    gauge, one independent problem per row of (d1, d2).  Every row must
+    have a maximum, a strongly connected directed comparison graph (as
+    :func:`bt_mle` checks): a row without one runs off, and under either
+    model ends unconverged or, once its curvatures underflow, raises
+    ``LinAlgError``.
 
-    Each row starts from its least-squares fit of the linked data (see
-    :func:`_least_squares_start`).  The paper shows that this fit and the
-    likelihood optimum coincide on consistent data, complete or not, so
-    there the first step is below rounding; under noise the start is close
-    to the optimum.  The negative Hessian is the graph Laplacian weighted by
-    the pair curvatures.  ``tol`` bounds ||m - m*||_inf.  A full step of max
-    norm s leaves about K s^2 to go; K is estimated as max(s / s'^2, 1) from
-    the row's previous full step s' (K = 1 on the first step).  A row stops
-    on its first step with K s^2 <= tol / 10: it takes that step without
-    evaluating it or searching it, and is frozen.  The estimate uses the
-    row's own steps only, so every row's trajectory is identical to a run
-    of that row alone.  Returns (m rows, iterations per row, converged
-    mask).
+    Each row starts from :func:`_least_squares_start`, on consistent data
+    the optimum itself (see the module docstring).  The negative Hessian is
+    the graph Laplacian weighted by the pair curvatures.  ``tol`` bounds
+    ||m - m*||_inf.  A full step of max norm s leaves about K s^2 to go; K
+    is estimated as max(s / s'^2, 1) from the row's previous full step s'
+    (K = 1 on the first step).  A row stops on its first step with
+    K s^2 <= tol / 10: it takes that step without evaluating it or searching
+    it, and is frozen.  The estimate uses the row's own steps only, so every
+    row's trajectory is identical to a run of that row alone.  Returns
+    (m rows, iterations per row, converged mask).
 
     The iteration runs on x = m[:, 1:].  Rows still iterating are kept as a
     prefix of the working arrays, which are compacted only when a row stops.

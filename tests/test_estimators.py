@@ -840,6 +840,56 @@ class TestLogLikelihood:
             gradient = log_likelihood_gradient(probs_modified, result.m, model)
             assert np.max(np.abs(gradient[1:])) < 1e-7
 
+    @pytest.mark.parametrize("delta", [1e-3, 0.5, 1.0, 3.0, 10.0, 37.0, 40.0, 100.0, 300.0, 1e3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_normal_gradient_matches_50_digits(self, delta, sign):
+        # The Mills ratios exp(ln phi - ln Phi) round with delta^2: pin the
+        # accuracy the docstring of log_likelihood_gradient states.
+        mpmath = pytest.importorskip("mpmath")
+        data = DataMatrix(2, {(0, 1): (1.0, 1.0)})
+        gradient = log_likelihood_gradient(
+            data, ExpectedValueVector(np.array([0.0, sign * delta])), NORMAL
+        )
+        with mpmath.workdps(50):
+            x = -mpmath.mpf(sign * delta)  # m_1 - m_2
+            slope = mpmath.npdf(x) / mpmath.ncdf(x) - mpmath.npdf(x) / mpmath.ncdf(-x)
+            exact = (slope, -slope)
+            error = max(abs((mpmath.mpf(float(g)) - e) / e) for g, e in zip(gradient, exact))
+        assert error <= 1e-9, float(error)
+
+
+class TestLinks:
+    """Each :class:`ModelKind` member's link, so that a new member is checked
+    as it is added."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_pair_terms_are_the_derivatives_of_the_pair_likelihood(self, model):
+        # One pair per row, so each row's log-likelihood is its pair's term.
+        rng = np.random.default_rng(97)
+        delta = np.linspace(-8.0, 8.0, 161)[:, None]
+        d1, d2 = rng.uniform(0.1, 3.0, size=(2, *delta.shape))
+        step = 1e-4
+        _, slope, curvature = estimators._pair_terms(delta, d1, d2, model, slice(None))
+        up = estimators._pair_terms(delta + step, d1, d2, model, slice(None))
+        down = estimators._pair_terms(delta - step, d1, d2, model, slice(None))
+        assert_allclose((up[0] - down[0]) / (2 * step), slope[:, 0], rtol=1e-7, atol=1e-7)
+        assert_allclose((down[1] - up[1]) / (2 * step), curvature, rtol=1e-7, atol=1e-7)
+        assert (curvature > 0).all()
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_cdf_inverts_the_quantile_function(self, model):
+        tail = np.logspace(-12, math.log10(0.5), 200)
+        p = np.concatenate([tail, 1.0 - tail])
+        assert_allclose(model.cdf(model.inverse_cdf(p)), p, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_log_cdf_is_the_log_of_the_cdf(self, model):
+        x = np.linspace(-800.0, 40.0, 8401)
+        cdf = model.cdf(x)
+        shown = cdf > 1e-300
+        assert shown.sum() > 700
+        assert_allclose(model.log_cdf(x[shown]), np.log(cdf[shown]), rtol=1e-13, atol=1e-15)
+
 
 class TestTransforms:
     def test_weights_from_m_goldens(self):

@@ -2,7 +2,8 @@
 
 Invariants must survive ``python -O``, which strips ``assert`` statements, so
 the package raises instead.  An import nothing reads is a leftover of a fold
-that moved its last use elsewhere.
+that moved its last use elsewhere.  A model's link lives in its
+:class:`paircomp.ModelKind` member, so no code compares a model with one.
 """
 
 from __future__ import annotations
@@ -61,3 +62,27 @@ def test_no_unused_imports(path):
     read = _read_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in read}
     assert unused == {}, f"{path.name}: imported but never read"
+
+
+def _is_model_member(node: ast.expr) -> bool:
+    """Whether ``node`` is ``ModelKind.<member>`` or ``<module>.ModelKind.<member>``."""
+    if not (isinstance(node, ast.Attribute) and node.attr in paircomp.ModelKind.__members__):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Name) and owner.id == "ModelKind") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "ModelKind"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_code_branches_on_a_model_member(path):
+    branches = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        branches += [node.lineno for operand in operands if _is_model_member(operand)]
+    assert branches == [], f"{path.name}: compares a model with a ModelKind member"
