@@ -8,13 +8,17 @@
   Thurstone (standard normal) models, gauge-fixed at m_1 = 0.
 
 Solver choices: LLSM, the likelihoods' least-squares start and every Newton
-step solve the same system, a weighted graph Laplacian grounded at m_1 = 0,
-assembled by one batched scatter plan: one sum gives the degrees, and each
-pair's weight, negated, fills its two off-diagonal cells.  Both likelihoods
-are concave and maximized by one batched damped Newton solver, whose Hessian
-is the Laplacian weighted by the curvature of ln F on each pair.  Each point
-it visits is evaluated once: the link's special functions there give both
-the log-likelihood its line search compares and the derivatives of the next
+step solve the same system, a weighted graph Laplacian grounded at m_1 = 0.
+Up to six items it is factored by square-root-free Cholesky straight from
+the degrees (one batched sum) and the pair weights, no matrix assembled:
+one written-out recurrence runs per row on Python floats for a few rows
+and on arrays of all rows for many, and rounds alike on both.  A row with a
+pivot that is not positive, and every larger league, is solved by LAPACK
+from the assembled Laplacian.  Both likelihoods are concave and maximized
+by one batched damped Newton solver, whose Hessian is the Laplacian
+weighted by the curvature of ln F on each pair.  Each point it visits is
+evaluated once: the link's special functions there give both the
+log-likelihood its line search compares and the derivatives of the next
 step.  The tolerance bounds each fit's distance to the optimum in max norm:
 convergence is quadratic near the optimum, so a full step of size s leaves
 about K s^2 to go, and a fit stops on its first full step whose estimate
@@ -34,7 +38,9 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +118,9 @@ def _pair_terms(delta, d1, d2, model: ModelKind, searched):
 
 class _Incidence:
     """Scatter plan of the pairs (ii[s], jj[s]) of n vertices for up to
-    ``rows`` rows of per-pair values, in the m_1 = 0 gauge x = m[:, 1:].
+    ``rows`` rows of per-pair values, in the m_1 = 0 gauge x = m[:, 1:],
+    and the solver of their weighted Laplacians (:meth:`solve`).  Each pair
+    appears once.
 
     Bins are laid out row by row, so fewer rows use a prefix of them.  Each
     vertex adds its terms in lexicographic pair order, whatever the number
@@ -120,14 +128,8 @@ class _Incidence:
     """
 
     def __init__(self, ii, jj, n, rows):
-        self.ii, self.jj, self.n = ii, jj, n
-        row, vertex = np.arange(rows)[:, None], np.concatenate([jj, ii])
-        self._vertex_bins = (row * n + vertex).ravel()
-        # Laplacian cell (a, b) of a row sits at a n + b of its n * n bins.
-        # The degrees add each vertex's weights in the order of the vertex
-        # sums; an off-diagonal cell holds the one weight of its pair.
-        self._degree_bins = (row * (n * n) + vertex * (n + 1)).ravel()
-        self._pair_cells = (row * (n * n) + np.concatenate([ii * n + jj, jj * n + ii])).ravel()
+        self.ii, self.jj, self.n, self.rows = ii, jj, n, rows
+        self._vertex_bins = (np.arange(rows)[:, None] * n + np.concatenate([jj, ii])).ravel()
         # x @ P gives the differences: column s of P holds +1 at ii[s] and -1
         # at jj[s] (none at vertex 1), so each sum has at most two nonzero
         # terms and is exact in any order.  At simulate's shapes (n <= 6) it
@@ -143,6 +145,19 @@ class _Incidence:
             signs[ii, columns] = 1.0
             signs[jj, columns] = -1.0
             self._difference_map = signs[1:]
+        # The cells (a, b), b >= a, of the augmented grounded system [L | rhs]
+        # of a row (b = n - 1 is the right-hand side), by their place in the
+        # row's source [degrees (n) | weights (k) | rhs (n - 1) | 0]: the
+        # degree, the pair weight (the zero for a missing pair) or the rhs.
+        if n <= _CHOLESKY_MAX_N:
+            size, k = n - 1, len(ii)
+            cells = [[n + k + size] * size + [n + k + a] for a in range(size)]
+            for a in range(size):
+                cells[a][a] = a + 1
+            for s, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+                if i and j:
+                    cells[i - 1][j - 1] = cells[j - 1][i - 1] = n + s
+            self._cells = operator.itemgetter(*(c for a, row in enumerate(cells) for c in row[a:]))
 
     def differences(self, x):
         """m_i - m_j of every pair, one row per row of x = m[:, 1:]."""
@@ -159,20 +174,127 @@ class _Incidence:
         sums = np.bincount(self._vertex_bins[: terms.size], terms, rows * self.n)
         return sums.reshape(rows, self.n)
 
+    @functools.cached_property
+    def _laplacian_bins(self):
+        # Laplacian cell (a, b) of a row sits at a n + b of its n * n bins.
+        # The degrees add each vertex's weights in the order of the vertex
+        # sums; an off-diagonal cell holds the one weight of its pair.
+        ii, jj, n = self.ii, self.jj, self.n
+        row = np.arange(self.rows)[:, None] * (n * n)
+        return ((row + np.concatenate([jj, ii]) * (n + 1)).ravel(),
+                (row + np.concatenate([ii * n + jj, jj * n + ii])).ravel())
+
     def laplacian(self, weights):
         """Graph Laplacians weighting pair s by weights[:, s], shape (rows, n, n)."""
         rows, n = len(weights), self.n
+        degree_bins, pair_cells = self._laplacian_bins
         terms = np.concatenate([weights, weights], axis=1).ravel()
-        laplacian = np.bincount(self._degree_bins[: terms.size], terms, rows * n * n)
+        laplacian = np.bincount(degree_bins[: terms.size], terms, rows * n * n)
         # 0 - w is the one-term sum of the cell from zero, signed zero included.
-        laplacian[self._pair_cells[: terms.size]] = np.subtract(0.0, terms)
+        laplacian[pair_cells[: terms.size]] = np.subtract(0.0, terms)
         return laplacian.reshape(rows, n, n)
+
+    def _lapack(self, weights, rhs):
+        return np.linalg.solve(self.laplacian(weights)[:, 1:, 1:], rhs[..., None])[..., 0]
 
     def solve(self, weights, rhs):
         """Solve L x = rhs, one system per row of rhs (rows, n - 1): L is the
         :meth:`laplacian` with the row and column of vertex 1 (grounded at
-        x_1 = 0) left out."""
-        return np.linalg.solve(self.laplacian(weights)[:, 1:, 1:], rhs[..., None])[..., 0]
+        x_1 = 0) left out.  A row whose system is singular gets NaN.
+
+        Up to ``_CHOLESKY_MAX_N`` items, L is factored as U^T D U straight
+        from the degrees and the pair weights (:meth:`_cholesky`); a row
+        with a pivot that is not positive or a result that is not finite is
+        solved alone by LAPACK.  Larger leagues are solved by LAPACK."""
+        if self.n <= _CHOLESKY_MAX_N:
+            x, bad = self._cholesky(weights, rhs)
+        else:
+            try:
+                return self._lapack(weights, rhs)
+            except np.linalg.LinAlgError:
+                x, bad = np.empty_like(rhs), range(len(rhs))
+        for r in bad:
+            try:
+                x[r] = self._lapack(weights[r:r + 1], rhs[r:r + 1])[0]
+            except np.linalg.LinAlgError:
+                x[r] = np.nan
+        return x
+
+    def _cholesky(self, weights, rhs):
+        """The rows of :meth:`solve` by :func:`_cholesky_recurrence`, read
+        straight from the degrees and the pair weights.  Up to
+        ``_FLOAT_ROWS`` rows it runs per row on Python floats, else once on
+        arrays of all rows per cell.  IEEE arithmetic rounds both alike, so
+        a row's bits do not depend on the rows beside it.  Returns the
+        solutions and the rows with a pivot that is not positive or a
+        result that is not finite."""
+        rows, size = rhs.shape
+        n = self.n
+        terms = np.concatenate([weights, weights], axis=1).ravel()
+        degrees = np.bincount(self._vertex_bins[: terms.size], terms, rows * n).reshape(rows, n)
+        solve = _cholesky_recurrence(size)
+        if rows <= _FLOAT_ROWS:
+            source = np.concatenate([degrees, weights, rhs, np.zeros((rows, 1))], axis=1)
+            x, bad = [], []
+            for r, row in enumerate(source.tolist()):
+                try:
+                    solution, pivots = solve(*self._cells(row))
+                except ZeroDivisionError:
+                    solution, pivots = [math.nan] * size, [0.0]
+                # A NaN pivot makes its solution NaN, whatever min() returns.
+                if not (min(pivots) > 0.0 and all(map(math.isfinite, solution))):
+                    bad.append(r)
+                x.append(solution)
+            return np.array(x).reshape(rows, size), bad
+        with np.errstate(all="ignore"):
+            x, pivots = solve(*self._cells([*degrees.T, *weights.T, *rhs.T, 0.0]))
+            x, pivots = np.array(x, order="F").T, np.array(pivots)
+            # A sum that overflows only sends the rows to the exact test.
+            if pivots.min() > 0.0 and np.isfinite(x.sum()):
+                return x, ()
+            ok = (pivots > 0.0).all(axis=0) & np.isfinite(x).all(axis=1)
+        return x, np.flatnonzero(~ok)
+
+
+#: Most items whose systems :meth:`_Incidence.solve` factors itself, the
+#: catalog's largest n: one row of n = 7 solves about as fast as by LAPACK,
+#: one row of n = 8 more slowly.
+_CHOLESKY_MAX_N = 6
+#: Most rows :meth:`_Incidence._cholesky` factors one by one on floats: near
+#: where the array path, whose cost is mostly per operation, overtakes it.
+_FLOAT_ROWS = 12
+
+
+@functools.lru_cache(maxsize=None)  # one function per size < _CHOLESKY_MAX_N
+def _cholesky_recurrence(size):
+    """Solve one grounded Laplacian system L x = rhs of ``size`` unknowns
+    by square-root-free Cholesky (L = U^T D U, U unit upper triangular),
+    column by column on the augmented system [L | rhs].  L = D - W has the
+    degrees on its diagonal and minus the pair weights w elsewhere, so the
+    recurrence carries w and subtracts only on the diagonal: pivot d_j =
+    l_jj, v_jb = w_jb / d_j, y_j = rhs_j / d_j, then for j < i <= b:
+    l_ii -= w_ji v_ji, w_ib += w_ji v_jb and rhs_i += w_ji y_j; back
+    substitution x_i = y_i + sum over c > i, from the last, of v_ic x_c.
+
+    The function takes the cells (a, b), b >= a, of the augmented system
+    row by row and returns the solution and the pivots.  It is written out
+    one operation per line: the same lines run on Python floats and on
+    arrays of many rows, and on floats a loop over the cells took three
+    times as long.  On floats a zero pivot raises ZeroDivisionError."""
+    lines = []
+    for j in range(size):
+        lines += [f"v{j}_{b} = a{j}_{b} / a{j}_{j}" for b in range(j + 1, size + 1)]
+        for i in range(j + 1, size):
+            lines.append(f"a{i}_{i} = a{i}_{i} - a{j}_{i} * v{j}_{i}")
+            lines += [f"a{i}_{b} = a{i}_{b} + a{j}_{i} * v{j}_{b}" for b in range(i + 1, size + 1)]
+    for c in range(size - 1, 0, -1):
+        lines += [f"v{i}_{size} = v{i}_{size} + v{i}_{c} * v{c}_{size}" for i in range(c)]
+    lines.append(f"return [{', '.join(f'v{i}_{size}' for i in range(size))}], "
+                 f"[{', '.join(f'a{i}_{i}' for i in range(size))}]")
+    cells = ", ".join(f"a{i}_{b}" for i in range(size) for b in range(i, size + 1))
+    namespace = {}
+    exec(f"def solve({cells}):\n    " + "\n    ".join(lines), namespace)
+    return namespace["solve"]
 
 
 def log_likelihood_gradient(
@@ -249,9 +371,9 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     """Damped Newton ascent of the concave log-likelihood in the m_1 = 0
     gauge, one independent problem per row of (d1, d2).  Every row must
     have a maximum, a strongly connected directed comparison graph (as
-    :func:`bt_mle` checks): a row without one runs off, and under either
-    model ends unconverged or, once its curvatures underflow, raises
-    ``LinAlgError``.
+    :func:`bt_mle` checks): a row without one runs off and ends
+    unconverged, after ``max_iter`` steps or on the first step whose Newton
+    system is singular (its curvatures underflow), where it stops.
 
     Each row starts from :func:`_least_squares_start`, on consistent data
     the optimum itself (see the module docstring).  The negative Hessian is
@@ -276,6 +398,7 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     x = m[:, 1:]
     current, g_pair, h_pair = _pair_terms(plan.differences(x), d1, d2, model, slice(None))
     iterations = np.zeros(rows, dtype=np.intp)
+    converged = np.ones(rows, dtype=bool)
     active = np.arange(rows)
     last_square = np.ones(rows)
     bound = 0.1 * tol
@@ -283,6 +406,12 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     for step in range(1, max_iter + 1):
         grad = plan.vertex_sums(g_pair)[:, 1:]
         direction = plan.solve(h_pair, grad)
+        # A singular system leaves a direction that is not finite: its row
+        # takes no step and stops, unconverged.
+        if not np.isfinite(direction).all():
+            failed = ~np.isfinite(direction).all(axis=1)
+            direction[failed] = 0.0
+            converged[active[failed]] = False
         moved = x + direction
         # K s^2 <= tol / 10 with K = max(s / last^2, 1), multiplied through
         # by last^2 to need no division: last^2 is 0 after a step below 1e-162.
@@ -324,7 +453,6 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
         x = moved
     m[active, 1:] = x
     iterations[active] = max_iter
-    converged = np.ones(rows, dtype=bool)
     converged[active] = False
     return m, iterations, converged
 

@@ -640,6 +640,24 @@ class TestNewtonKernel:
         assert len(per_step) == 1 + max_iter and max(per_step) == 61
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_a_singular_newton_system_ends_its_row_unconverged(self, model):
+        # The halving fixture's stuck row with item 0 losing once to item 1:
+        # item 3 still only loses, runs off until its curvatures underflow,
+        # and its Newton system turns singular before 2,000 steps.
+        d1, d2, ii, jj, stuck = _halving_rows()
+        d1[2, 0] = 0.1
+        max_iter = 2000
+        m, iterations, converged = _newton_rows(d1, d2, ii, jj, 4, model, DEFAULT_MLE_TOL,
+                                                max_iter)
+        assert converged.tolist() == [True, True, False, True]
+        assert 50 < iterations[2] < max_iter and np.isfinite(m[2]).all()
+        for r in range(len(d1)):
+            alone = _newton_rows(d1[r:r + 1], d2[r:r + 1], ii, jj, 4, model, DEFAULT_MLE_TOL,
+                                 max_iter)
+            assert m[r].tobytes() == alone[0][0].tobytes()
+            assert iterations[r] == alone[1][0] and converged[r] == alone[2][0]
+
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     @pytest.mark.parametrize("tol", [DEFAULT_MLE_TOL, 1e-6])
     def test_a_converged_row_never_evaluates_its_final_point(self, model, tol, monkeypatch):
         # Count the rows each fit evaluates between its solves: the start's,
@@ -679,6 +697,81 @@ class TestNewtonKernel:
             _newton_rows(d1, d2, ii, jj, n, model, tol, 50)
             assert sum(per_step) == sum(alone)
         assert stopped == 5 * 6 + 3
+
+
+def _lapack_solve(ii, jj, n, weights, rhs):
+    """The grounded systems solved by LAPACK on the four-block scatter."""
+    return np.linalg.solve(_four_block_laplacian(ii, jj, n, weights)[:, 1:, 1:],
+                           rhs[..., None])[..., 0]
+
+
+def _solve_rows(rng, n, rows, full):
+    """Pairs of n items (all of them, or a random set around the path
+    0-1-...-(n-1), which keeps the grounded Laplacian definite), weights
+    with about a third of the off-path ones zero, and right-hand sides."""
+    pairs = pair_order(n)
+    path = [pairs.index((i, i + 1)) for i in range(n - 1)]
+    chosen = np.arange(len(pairs)) if full else np.union1d(
+        path, np.flatnonzero(rng.random(len(pairs)) < 0.5))
+    ii, jj = np.array(pairs, dtype=np.intp)[chosen].T
+    weights = rng.uniform(0.1, 3.0, size=(rows, len(ii)))
+    off_path = ~np.isin(chosen, path)
+    weights[:, off_path] *= rng.random((rows, off_path.sum())) > 0.3
+    return ii, jj, weights, rng.normal(size=(rows, n - 1))
+
+
+class TestColumnSolve:
+    ROWS = (1, 2, 5, estimators._FLOAT_ROWS, estimators._FLOAT_ROWS + 1, 40)
+
+    def test_matches_lapack(self):
+        rng = np.random.default_rng(97)
+        for n in range(2, estimators._CHOLESKY_MAX_N + 1):
+            for rows in self.ROWS:
+                for full in (True, False):
+                    ii, jj, weights, rhs = _solve_rows(rng, n, rows, full)
+                    got = _Incidence(ii, jj, n, rows).solve(weights, rhs)
+                    expected = _lapack_solve(ii, jj, n, weights, rhs)
+                    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_float_and_array_paths_are_bitwise_equal(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        for n in range(2, estimators._CHOLESKY_MAX_N + 1):
+            for rows in self.ROWS:
+                ii, jj, weights, rhs = _solve_rows(rng, n, rows, rows % 2 == 0)
+                plan = _Incidence(ii, jj, n, rows)
+                solved = []
+                for float_rows in (0, rows):
+                    monkeypatch.setattr(estimators, "_FLOAT_ROWS", float_rows)
+                    solved.append(plan.solve(weights, rhs).tobytes())
+                assert solved[0] == solved[1]
+
+    @pytest.mark.parametrize("rows", [3, estimators._FLOAT_ROWS + 3])
+    def test_a_row_without_a_positive_pivot_is_solved_alone_by_lapack(self, rows):
+        # Row 1 weights pair (1, 2) by -2, so its grounded Laplacian
+        # [[-1, 2], [2, -1]] is regular but its first pivot is -1; row 2
+        # has no weight at all, so its system is singular.
+        rng = np.random.default_rng(103)
+        ii, jj, weights, rhs = _solve_rows(rng, 3, rows, True)
+        weights[1], weights[2] = [1.0, 1.0, -2.0], 0.0
+        plan = _Incidence(ii, jj, 3, rows)
+        x = plan.solve(weights, rhs)
+        assert x[1].tobytes() == _lapack_solve(ii, jj, 3, weights[1:2], rhs[1:2])[0].tobytes()
+        assert np.isnan(x[2]).all()
+        regular = np.delete(np.arange(rows), [1, 2])
+        assert x[regular].tobytes() == plan.solve(weights[regular], rhs[regular]).tobytes()
+
+    def test_larger_leagues_are_solved_by_lapack(self):
+        rng = np.random.default_rng(107)
+        n = estimators._CHOLESKY_MAX_N + 1
+        ii, jj, weights, rhs = _solve_rows(rng, n, 20, False)
+        plan = _Incidence(ii, jj, n, 20)
+        x = plan.solve(weights, rhs)
+        assert x.tobytes() == _lapack_solve(ii, jj, n, weights, rhs).tobytes()
+        # A singular row gets NaN; the others keep their bits.
+        weights[4] = 0.0
+        singular = plan.solve(weights, rhs)
+        assert np.isnan(singular[4]).all()
+        assert np.delete(singular, 4, axis=0).tobytes() == np.delete(x, 4, axis=0).tobytes()
 
 
 def _one_sided(rng, d1, d2, ii, jj, n):
