@@ -10,9 +10,9 @@
 Solver choices: LLSM, the likelihoods' least-squares start and every Newton
 step solve the same system, a weighted graph Laplacian grounded at m_1 = 0.
 Up to six items it is factored by square-root-free Cholesky straight from
-the degrees (one batched sum) and the pair weights, no matrix assembled:
-one written-out recurrence runs per row on Python floats for a few rows
-and on arrays of all rows for many, and rounds alike on both.  A row with a
+the pair weights, no matrix assembled: one recurrence, degrees included,
+written out for each n, runs per row on Python floats for a few rows and
+on arrays of all rows for many, and rounds alike on both.  A row with a
 pivot that is not positive, and every larger league, is solved by LAPACK
 from the assembled Laplacian.  Both likelihoods are concave and maximized
 by one batched damped Newton solver, whose Hessian is the Laplacian
@@ -39,8 +39,8 @@ bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,19 +145,6 @@ class _Incidence:
             signs[ii, columns] = 1.0
             signs[jj, columns] = -1.0
             self._difference_map = signs[1:]
-        # The cells (a, b), b >= a, of the augmented grounded system [L | rhs]
-        # of a row (b = n - 1 is the right-hand side), by their place in the
-        # row's source [degrees (n) | weights (k) | rhs (n - 1) | 0]: the
-        # degree, the pair weight (the zero for a missing pair) or the rhs.
-        if n <= _CHOLESKY_MAX_N:
-            size, k = n - 1, len(ii)
-            cells = [[n + k + size] * size + [n + k + a] for a in range(size)]
-            for a in range(size):
-                cells[a][a] = a + 1
-            for s, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-                if i and j:
-                    cells[i - 1][j - 1] = cells[j - 1][i - 1] = n + s
-            self._cells = operator.itemgetter(*(c for a, row in enumerate(cells) for c in row[a:]))
 
     def differences(self, x):
         """m_i - m_j of every pair, one row per row of x = m[:, 1:]."""
@@ -203,9 +190,9 @@ class _Incidence:
         x_1 = 0) left out.  A row whose system is singular gets NaN.
 
         Up to ``_CHOLESKY_MAX_N`` items, L is factored as U^T D U straight
-        from the degrees and the pair weights (:meth:`_cholesky`); a row
-        with a pivot that is not positive or a result that is not finite is
-        solved alone by LAPACK.  Larger leagues are solved by LAPACK."""
+        from the pair weights (:meth:`_cholesky`); a row with a pivot that
+        is not positive or a result that is not finite is solved alone by
+        LAPACK.  Larger leagues are solved by LAPACK."""
         if self.n <= _CHOLESKY_MAX_N:
             x, bad = self._cholesky(weights, rhs)
         else:
@@ -220,34 +207,36 @@ class _Incidence:
                 x[r] = np.nan
         return x
 
+    @functools.cached_property
+    def _slots(self):
+        # The place of each pair in the lexicographic list of all pairs, or
+        # None when the plan lists all of them in that order.
+        slots = [self.n * i - i * (i + 1) // 2 + j - i - 1
+                 for i, j in zip(np.minimum(self.ii, self.jj).tolist(),
+                                 np.maximum(self.ii, self.jj).tolist())]
+        return None if slots == list(range(self.n * (self.n - 1) // 2)) else slots
+
     def _cholesky(self, weights, rhs):
-        """The rows of :meth:`solve` by :func:`_cholesky_recurrence`, read
-        straight from the degrees and the pair weights.  Up to
-        ``_FLOAT_ROWS`` rows it runs per row on Python floats, else once on
-        arrays of all rows per cell.  IEEE arithmetic rounds both alike, so
-        a row's bits do not depend on the rows beside it.  Returns the
+        """The rows of :meth:`solve` by :func:`_cholesky_recurrences`, whose
+        weights are those of all pairs (zero for a pair the plan lacks).  Up
+        to ``_FLOAT_ROWS`` rows they run per row on Python floats, else once
+        on the columns of all rows.  IEEE arithmetic rounds both alike, so a
+        row's bits do not depend on the rows beside it.  Returns the
         solutions and the rows with a pivot that is not positive or a
         result that is not finite."""
         rows, size = rhs.shape
-        n = self.n
-        terms = np.concatenate([weights, weights], axis=1).ravel()
-        degrees = np.bincount(self._vertex_bins[: terms.size], terms, rows * n).reshape(rows, n)
-        solve = _cholesky_recurrence(size)
+        if self._slots is not None:
+            weights, given = np.zeros((rows, self.n * size // 2)), weights
+            weights[:, self._slots] = given
+        on_floats, on_arrays = _cholesky_recurrences(size)
         if rows <= _FLOAT_ROWS:
-            source = np.concatenate([degrees, weights, rhs, np.zeros((rows, 1))], axis=1)
-            x, bad = [], []
-            for r, row in enumerate(source.tolist()):
-                try:
-                    solution, pivots = solve(*self._cells(row))
-                except ZeroDivisionError:
-                    solution, pivots = [math.nan] * size, [0.0]
-                # A NaN pivot makes its solution NaN, whatever min() returns.
-                if not (min(pivots) > 0.0 and all(map(math.isfinite, solution))):
-                    bad.append(r)
-                x.append(solution)
-            return np.array(x).reshape(rows, size), bad
+            x = list(map(on_floats, weights.tolist(), rhs.tolist()))
+            bad = [r for r, solution in enumerate(x) if solution is None] if None in x else []
+            for r in bad:
+                x[r] = (math.nan,) * size
+            return np.fromiter(itertools.chain.from_iterable(x), float, rows * size).reshape(rows, size), bad
         with np.errstate(all="ignore"):
-            x, pivots = solve(*self._cells([*degrees.T, *weights.T, *rhs.T, 0.0]))
+            x, pivots = on_arrays(weights.T, rhs.T)
             x, pivots = np.array(x, order="F").T, np.array(pivots)
             # A sum that overflows only sends the rows to the exact test.
             if pivots.min() > 0.0 and np.isfinite(x.sum()):
@@ -260,41 +249,63 @@ class _Incidence:
 #: catalog's largest n: one row of n = 7 solves about as fast as by LAPACK,
 #: one row of n = 8 more slowly.
 _CHOLESKY_MAX_N = 6
-#: Most rows :meth:`_Incidence._cholesky` factors one by one on floats: near
-#: where the array path, whose cost is mostly per operation, overtakes it.
-_FLOAT_ROWS = 12
+#: Most rows :meth:`_Incidence._cholesky` factors one by one on floats: the
+#: array path, whose cost is mostly per operation, is as fast at 24 rows
+#: for n = 3 and 4 and at 28 for n = 5 and 6.
+_FLOAT_ROWS = 24
 
 
-@functools.lru_cache(maxsize=None)  # one function per size < _CHOLESKY_MAX_N
-def _cholesky_recurrence(size):
-    """Solve one grounded Laplacian system L x = rhs of ``size`` unknowns
-    by square-root-free Cholesky (L = U^T D U, U unit upper triangular),
-    column by column on the augmented system [L | rhs].  L = D - W has the
-    degrees on its diagonal and minus the pair weights w elsewhere, so the
-    recurrence carries w and subtracts only on the diagonal: pivot d_j =
-    l_jj, v_jb = w_jb / d_j, y_j = rhs_j / d_j, then for j < i <= b:
-    l_ii -= w_ji v_ji, w_ib += w_ji v_jb and rhs_i += w_ji y_j; back
-    substitution x_i = y_i + sum over c > i, from the last, of v_ic x_c.
+@functools.lru_cache(maxsize=None)  # one pair per size < _CHOLESKY_MAX_N
+def _cholesky_recurrences(size):
+    """Two functions that solve the grounded Laplacian system L x = rhs of
+    all pairs of n = size + 1 items by square-root-free Cholesky
+    (L = U^T D U, U unit upper triangular), column by column on the
+    augmented system [L | rhs].  Both take the weights w of the pairs in
+    lexicographic order and the right-hand side: one on Python floats,
+    returning the solution, or None for a pivot that is not positive or a
+    result that is not finite; one on arrays of many rows, returning the
+    solutions and the pivots.
 
-    The function takes the cells (a, b), b >= a, of the augmented system
-    row by row and returns the solution and the pivots.  It is written out
-    one operation per line: the same lines run on Python floats and on
-    arrays of many rows, and on floats a loop over the cells took three
-    times as long.  On floats a zero pivot raises ZeroDivisionError."""
+    L = D - W has the degrees on its diagonal and minus the pair weights
+    elsewhere, so the recurrence carries w and subtracts only on the
+    diagonal: pivot d_j = l_jj, v_jb = w_jb / d_j, y_j = rhs_j / d_j, then
+    for j < i <= b: l_ii -= w_ji v_ji, w_ib += w_ji v_jb and
+    rhs_i += w_ji y_j; back substitution x_i = y_i + sum over c > i, from
+    the last, of v_ic x_c.  A degree adds the vertex's weights in the order
+    of :meth:`_Incidence.vertex_sums` over all pairs.
+
+    Both run the same lines, written out one operation per line: on floats
+    a loop over the cells took three times as long."""
+    n = size + 1
+    pairs = pair_order(n)
+    degree = [[] for _ in range(n)]
+    for s, vertex in enumerate([j for _, j in pairs] + [i for i, _ in pairs]):
+        degree[vertex].append(f"w{s % len(pairs)}")
     lines = []
+    for a in range(size):
+        lines.append(f"a{a}_{a} = {' + '.join(degree[a + 1]) or '0.0'}")
+        lines += [f"a{a}_{b} = w{pairs.index((a + 1, b + 1))}" for b in range(a + 1, size)]
+        lines.append(f"a{a}_{size} = r{a}")
+    guarded = list(lines)
     for j in range(size):
-        lines += [f"v{j}_{b} = a{j}_{b} / a{j}_{j}" for b in range(j + 1, size + 1)]
+        column = [f"v{j}_{b} = a{j}_{b} / a{j}_{j}" for b in range(j + 1, size + 1)]
         for i in range(j + 1, size):
-            lines.append(f"a{i}_{i} = a{i}_{i} - a{j}_{i} * v{j}_{i}")
-            lines += [f"a{i}_{b} = a{i}_{b} + a{j}_{i} * v{j}_{b}" for b in range(i + 1, size + 1)]
-    for c in range(size - 1, 0, -1):
-        lines += [f"v{i}_{size} = v{i}_{size} + v{i}_{c} * v{c}_{size}" for i in range(c)]
-    lines.append(f"return [{', '.join(f'v{i}_{size}' for i in range(size))}], "
-                 f"[{', '.join(f'a{i}_{i}' for i in range(size))}]")
-    cells = ", ".join(f"a{i}_{b}" for i in range(size) for b in range(i, size + 1))
+            column.append(f"a{i}_{i} = a{i}_{i} - a{j}_{i} * v{j}_{i}")
+            column += [f"a{i}_{b} = a{i}_{b} + a{j}_{i} * v{j}_{b}" for b in range(i + 1, size + 1)]
+        lines += column
+        guarded += [f"if not a{j}_{j} > 0.0: return None", *column]
+    back = [f"v{i}_{size} = v{i}_{size} + v{i}_{c} * v{c}_{size}"
+            for c in range(size - 1, 0, -1) for i in range(c)]
+    x = [f"v{i}_{size}" for i in range(size)]
+    finite = " and ".join(f"{xi} - {xi} == 0.0" for xi in x) or "True"
+    guarded += back + [f"return ({''.join(xi + ', ' for xi in x)}) if {finite} else None"]
+    lines += back + [f"return [{', '.join(x)}], [{', '.join(f'a{i}_{i}' for i in range(size))}]"]
+    unpack = [f"{''.join(f'{v}{s}, ' for s in range(count))}= {v}"
+              for v, count in (("w", len(pairs)), ("r", size)) if count]
     namespace = {}
-    exec(f"def solve({cells}):\n    " + "\n    ".join(lines), namespace)
-    return namespace["solve"]
+    for name, body in (("on_floats", guarded), ("on_arrays", lines)):
+        exec(f"def {name}(w, r):\n    " + "\n    ".join(unpack + body), namespace)
+    return namespace["on_floats"], namespace["on_arrays"]
 
 
 def log_likelihood_gradient(

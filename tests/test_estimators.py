@@ -745,6 +745,16 @@ class TestColumnSolve:
                     solved.append(plan.solve(weights, rhs).tobytes())
                 assert solved[0] == solved[1]
 
+    def test_pair_order_and_orientation_do_not_change_a_bit(self):
+        rng = np.random.default_rng(109)
+        for n in range(3, estimators._CHOLESKY_MAX_N + 1):
+            for rows in (1, 40):
+                ii, jj, weights, rhs = _solve_rows(rng, n, rows, False)
+                expected = _Incidence(ii, jj, n, rows).solve(weights, rhs)
+                order = rng.permutation(len(ii))
+                got = _Incidence(jj[order], ii[order], n, rows).solve(weights[:, order], rhs)
+                assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("rows", [3, estimators._FLOAT_ROWS + 3])
     def test_a_row_without_a_positive_pivot_is_solved_alone_by_lapack(self, rows):
         # Row 1 weights pair (1, 2) by -2, so its grounded Laplacian
@@ -932,6 +942,11 @@ class TestLogLikelihood:
             result = bt_mle(probs_modified, model)
             gradient = log_likelihood_gradient(probs_modified, result.m, model)
             assert np.max(np.abs(gradient[1:])) < 1e-7
+
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_one_item_has_a_zero_gradient(self, model):
+        gradient = log_likelihood_gradient(DataMatrix(1, {}), ExpectedValueVector(np.zeros(1)), model)
+        assert gradient.tolist() == [0.0]
 
     @pytest.mark.parametrize("delta", [1e-3, 0.5, 1.0, 3.0, 10.0, 37.0, 40.0, 100.0, 300.0, 1e3])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
