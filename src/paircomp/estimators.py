@@ -283,7 +283,7 @@ def _cholesky_recurrences(size):
         degree[vertex].append(f"w{s % len(pairs)}")
     lines = []
     for a in range(size):
-        lines.append(f"a{a}_{a} = {' + '.join(degree[a + 1]) or '0.0'}")
+        lines.append(f"a{a}_{a} = {' + '.join(degree[a + 1])}")
         lines += [f"a{a}_{b} = w{pairs.index((a + 1, b + 1))}" for b in range(a + 1, size)]
         lines.append(f"a{a}_{size} = r{a}")
     guarded = list(lines)
