@@ -564,6 +564,13 @@ PINNED_INPUTS = {
     "split.pcm": "1,2,*,*\n0.5,1,*,*\n*,*,1,3\n*,*,0.33333333333333331,1\n",
     "one.csv": "i,j,worse,better\n",
     "one.pcm": "1\n",
+    # Eight items, 18 of the 28 pairs, integer counts: every Newton system
+    # of its fits is larger than the catalog's.
+    "league8.csv": (
+        "i,j,worse,better\n1,2,1,9\n1,3,5,2\n1,5,8,4\n1,8,8,3\n2,3,9,1\n2,4,4,2\n"
+        "2,6,4,4\n2,7,9,4\n3,4,7,6\n3,5,4,5\n3,6,1,6\n3,7,4,3\n3,8,2,2\n4,5,9,3\n"
+        "4,8,8,1\n5,6,1,4\n6,7,9,5\n7,8,7,7\n"
+    ),
 }
 
 #: argv -> (exit code, stdout, stderr), byte for byte.
@@ -859,6 +866,14 @@ CATALOG_SHA256 = {
     6: "9f8ee74f2e8e5a6b3087df8a36147e3144b36f723921ed697a8fc20223622cf0",
 }
 
+#: SHA-256 of `rank --input league8.csv --method METHOD --json`.
+LEAGUE8_RANK_SHA256 = {
+    "bt": "8d35de0d55154fe1e231c47d5f0e67bc766b828585a6b7e48103e49c00483b6b",
+    "thurstone": "3aef840c16bd7bb3df653654e024c66c613404b9af5b023d06476357282201a0",
+    "llsm": "b36ce4925c0e33c817320a0b9ba85e7fbdeef1473d921ab77c5a402b3ed0f3be",
+    "em": "3d7f6942703ca9f9e56a91a0cc260989eb5f1d4c3f7092fccd76514d677a2c34",
+}
+
 #: `graphs enumerate --n 4`, verbatim.
 CATALOG_N4 = """\
 [
@@ -1102,6 +1117,14 @@ class TestOutputBytes:
         assert main(["graphs", "enumerate", "--n", str(n)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == CATALOG_SHA256[n]
+
+    @pytest.mark.parametrize("method", sorted(LEAGUE8_RANK_SHA256))
+    def test_larger_league_rank_digest_is_pinned(self, capsys, tmp_path, method):
+        source = tmp_path / "league8.csv"
+        source.write_text(PINNED_INPUTS["league8.csv"], encoding="utf-8")
+        assert main(["rank", "--input", str(source), "--method", method, "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == LEAGUE8_RANK_SHA256[method]
 
     @pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS))
     def test_consistency_and_rank_bytes_are_pinned(self, capsys, monkeypatch, tmp_path, argv):

@@ -783,6 +783,22 @@ class TestColumnSolve:
         assert np.isnan(singular[4]).all()
         assert np.delete(singular, 4, axis=0).tobytes() == np.delete(x, 4, axis=0).tobytes()
 
+    def test_larger_league_rows_are_solved_independently(self):
+        # Row 3 has no weight at all, so its system is singular; row 11
+        # weights its first pair by -6, which leaves its system regular but
+        # indefinite.  Every row has the bits it gets when solved alone.
+        rng = np.random.default_rng(113)
+        n = estimators._CHOLESKY_MAX_N + 1
+        ii, jj, weights, rhs = _solve_rows(rng, n, 20, False)
+        weights[3], weights[11, 0] = 0.0, -6.0
+        grounded = _four_block_laplacian(ii, jj, n, weights[11:12])[0, 1:, 1:]
+        assert np.linalg.eigvalsh(grounded).min() < 0.0
+        x = _Incidence(ii, jj, n, 20).solve(weights, rhs)
+        assert np.isnan(x[3]).all() and np.isfinite(np.delete(x, 3, axis=0)).all()
+        alone = _Incidence(ii, jj, n, 1)
+        for r in range(20):
+            assert x[r].tobytes() == alone.solve(weights[r:r + 1], rhs[r:r + 1])[0].tobytes()
+
 
 def _one_sided(rng, d1, d2, ii, jj, n):
     """Zero one amount of up to two pairs of each row of (d1, d2), in place,
