@@ -12,10 +12,10 @@ step solve the same system, a weighted graph Laplacian grounded at m_1 = 0.
 Up to six items it is factored by square-root-free Cholesky straight from
 the pair weights, no matrix assembled: one recurrence, degrees included,
 written out for each n, runs per row on Python floats for a few rows and
-on arrays of all rows for many, and rounds alike on both.  A row with a
-pivot that is not positive, and every larger league, is solved by LAPACK
-from the assembled Laplacian.  Both likelihoods are concave and maximized
-by one batched damped Newton solver, whose Hessian is the Laplacian
+on arrays of all rows for many, and rounds alike on both.  LAPACK solves
+one row at a time from the assembled Laplacian, only for larger leagues
+and for rows without a positive pivot.  Both likelihoods are concave and
+maximized by one batched damped Newton solver, whose Hessian is the Laplacian
 weighted by the curvature of ln F on each pair.  Each point it visits is
 evaluated once: the link's special functions there give both the
 log-likelihood its line search compares and the derivatives of the next
@@ -55,6 +55,7 @@ from .core import (
     pair_order,
 )
 from .errors import DisconnectedGraph, FordViolation, NoConvergence
+from .graphs import MAX_CATALOG_N
 
 #: Bound on a maximum likelihood fit's distance ||m - m*||_inf to the optimum.
 DEFAULT_MLE_TOL = 1e-10
@@ -119,8 +120,8 @@ def _pair_terms(delta, d1, d2, model: ModelKind, searched):
 class _Incidence:
     """Scatter plan of the pairs (ii[s], jj[s]) of n vertices for up to
     ``rows`` rows of per-pair values, in the m_1 = 0 gauge x = m[:, 1:],
-    and the solver of their weighted Laplacians (:meth:`solve`).  Each pair
-    appears once.
+    and the solver of their weighted Laplacians (:meth:`solve`), which hands
+    LAPACK one row at a time.  Each pair appears once.
 
     Bins are laid out row by row, so fewer rows use a prefix of them.  Each
     vertex adds its terms in lexicographic pair order, whatever the number
@@ -128,7 +129,7 @@ class _Incidence:
     """
 
     def __init__(self, ii, jj, n, rows):
-        self.ii, self.jj, self.n, self.rows = ii, jj, n, rows
+        self.ii, self.jj, self.n = ii, jj, n
         self._vertex_bins = (np.arange(rows)[:, None] * n + np.concatenate([jj, ii])).ravel()
         # x @ P gives the differences: column s of P holds +1 at ii[s] and -1
         # at jj[s] (none at vertex 1), so each sum has at most two nonzero
@@ -161,48 +162,32 @@ class _Incidence:
         sums = np.bincount(self._vertex_bins[: terms.size], terms, rows * self.n)
         return sums.reshape(rows, self.n)
 
-    @functools.cached_property
-    def _laplacian_bins(self):
-        # Laplacian cell (a, b) of a row sits at a n + b of its n * n bins.
-        # The degrees add each vertex's weights in the order of the vertex
-        # sums; an off-diagonal cell holds the one weight of its pair.
-        ii, jj, n = self.ii, self.jj, self.n
-        row = np.arange(self.rows)[:, None] * (n * n)
-        return ((row + np.concatenate([jj, ii]) * (n + 1)).ravel(),
-                (row + np.concatenate([ii * n + jj, jj * n + ii])).ravel())
-
     def laplacian(self, weights):
         """Graph Laplacians weighting pair s by weights[:, s], shape (rows, n, n)."""
         rows, n = len(weights), self.n
-        degree_bins, pair_cells = self._laplacian_bins
         terms = np.concatenate([weights, weights], axis=1).ravel()
-        laplacian = np.bincount(degree_bins[: terms.size], terms, rows * n * n)
+        degrees = np.bincount(self._vertex_bins[: terms.size], terms, rows * n)
+        laplacian = np.zeros((rows, n, n))
+        laplacian[:, range(n), range(n)] = degrees.reshape(rows, n)
         # 0 - w is the one-term sum of the cell from zero, signed zero included.
-        laplacian[pair_cells[: terms.size]] = np.subtract(0.0, terms)
-        return laplacian.reshape(rows, n, n)
-
-    def _lapack(self, weights, rhs):
-        return np.linalg.solve(self.laplacian(weights)[:, 1:, 1:], rhs[..., None])[..., 0]
+        laplacian[:, self.ii, self.jj] = laplacian[:, self.jj, self.ii] = np.subtract(0.0, weights)
+        return laplacian
 
     def solve(self, weights, rhs):
         """Solve L x = rhs, one system per row of rhs (rows, n - 1): L is the
         :meth:`laplacian` with the row and column of vertex 1 (grounded at
-        x_1 = 0) left out.  A row whose system is singular gets NaN.
-
-        Up to ``_CHOLESKY_MAX_N`` items, L is factored as U^T D U straight
-        from the pair weights (:meth:`_cholesky`); a row with a pivot that
-        is not positive or a result that is not finite is solved alone by
-        LAPACK.  Larger leagues are solved by LAPACK."""
+        x_1 = 0) left out.  A row whose system is singular gets NaN.  Up to
+        ``_CHOLESKY_MAX_N`` items, L is factored as U^T D U straight from the
+        pair weights (:meth:`_cholesky`); LAPACK solves the other rows one at
+        a time: a larger league's, and those without a positive pivot or a
+        finite result."""
         if self.n <= _CHOLESKY_MAX_N:
             x, bad = self._cholesky(weights, rhs)
         else:
-            try:
-                return self._lapack(weights, rhs)
-            except np.linalg.LinAlgError:
-                x, bad = np.empty_like(rhs), range(len(rhs))
+            x, bad = np.empty_like(rhs), range(len(rhs))
         for r in bad:
             try:
-                x[r] = self._lapack(weights[r:r + 1], rhs[r:r + 1])[0]
+                x[r] = np.linalg.solve(self.laplacian(weights[r:r + 1])[0, 1:, 1:], rhs[r])
             except np.linalg.LinAlgError:
                 x[r] = np.nan
         return x
@@ -246,9 +231,9 @@ class _Incidence:
 
 
 #: Most items whose systems :meth:`_Incidence.solve` factors itself, the
-#: catalog's largest n: one row of n = 7 solves about as fast as by LAPACK,
-#: one row of n = 8 more slowly.
-_CHOLESKY_MAX_N = 6
+#: catalog's largest n, so no batch of simulate's reaches LAPACK.  One row
+#: takes 0.95 times LAPACK's time at n = 7 and 1.06 times at n = 8.
+_CHOLESKY_MAX_N = MAX_CATALOG_N
 #: Most rows :meth:`_Incidence._cholesky` factors one by one on floats: the
 #: array path, whose cost is mostly per operation, is as fast at 24 rows
 #: for n = 3 and 4 and at 28 for n = 5 and 6.
