@@ -480,9 +480,9 @@ def bt_mle(
     if data.n == 1:
         return MleResult(ExpectedValueVector(np.zeros(1)), 0.0, 0, True)
     ii, jj, d1, d2 = _pair_data(data)
-    m_rows, iterations, converged = _newton_rows(
-        d1[None, :], d2[None, :], ii, jj, data.n, model, tol, max_iter
-    )
+    # Scaled exactly, by a power of two, to below 1, the Newton sums stay finite.
+    d1, d2 = np.ldexp([d1, d2], -math.frexp(max(d1.max(), d2.max()))[1])[:, None]
+    m_rows, iterations, converged = _newton_rows(d1, d2, ii, jj, data.n, model, tol, max_iter)
     steps = int(iterations[0])
     if not converged[0]:
         raise NoConvergence("maximum likelihood iteration did not converge", steps)

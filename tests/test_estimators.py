@@ -439,6 +439,16 @@ class TestBtMle:
             scaled = bt_mle(probs_modified.scaled(factor)).m.values
             assert np.max(np.abs(scaled - base)) < 1e-9
 
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_power_of_two_scaling_keeps_every_bit(self, model):
+        # Amounts 1 and 1e15 alternate over the pairs of four items; scaled by
+        # 2^960 the larger reach about 1e304, near the top of the float range.
+        pairs = pair_order(4)
+        data = DataMatrix(4, {p: (1.0, 1e15)[::(-1) ** s] for s, p in enumerate(pairs)})
+        base = bt_mle(data, model).m.values.tobytes()
+        for k in (-1000, -500, 500, 960):
+            assert bt_mle(data.scaled(2.0**k), model).m.values.tobytes() == base
+
     def test_mm_ascends_the_likelihood_every_step(self, probs_modified):
         pi = np.ones(4)
         previous = -math.inf
