@@ -13,8 +13,9 @@ replication count.  Iterations are the Newton steps of every
 (replication, structure) row, complete structure included.  The result is
 written as JSON to BENCH_scale.json at the repository root.
 
-Not part of the test suite: the default run takes about ten minutes on one
-core.
+Not part of the test suite: the default run takes about four and a half
+minutes on one core (the committed BENCH_scale.json sums to 4.3 minutes,
+fifth-size runs included, on a 2-core Xeon).
 """
 
 from __future__ import annotations

@@ -231,8 +231,8 @@ class _Incidence:
 
 
 #: Most items whose systems :meth:`_Incidence.solve` factors itself, the
-#: catalog's largest n, so no batch of simulate's reaches LAPACK.  One row
-#: takes 0.95 times LAPACK's time at n = 7 and 1.06 times at n = 8.
+#: catalog's largest n, so no batch of simulate's reaches LAPACK.  On one
+#: row the recurrence takes 0.95 times LAPACK's time at n = 7, 1.06 at n = 8.
 _CHOLESKY_MAX_N = MAX_CATALOG_N
 #: Most rows :meth:`_Incidence._cholesky` factors one by one on floats: the
 #: array path, whose cost is mostly per operation, is as fast at 24 rows
