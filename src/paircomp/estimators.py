@@ -98,6 +98,7 @@ def _pair_data(data: DataMatrix):
     return ii, jj, d1, d2
 
 
+@np.errstate(over="ignore")  # a sum below the float range is -inf
 def log_likelihood(data: DataMatrix, m: ExpectedValueVector, model: ModelKind) -> float:
     """Log-likelihood of the data under expected values ``m``:
     sum over pairs of d1 * ln F(m_j - m_i) + d2 * ln F(m_i - m_j)."""
@@ -181,10 +182,8 @@ class _Incidence:
         pair weights (:meth:`_cholesky`); LAPACK solves the other rows one at
         a time: a larger league's, and those without a positive pivot or a
         finite result."""
-        if self.n <= _CHOLESKY_MAX_N:
-            x, bad = self._cholesky(weights, rhs)
-        else:
-            x, bad = np.empty_like(rhs), range(len(rhs))
+        x, bad = (self._cholesky(weights, rhs) if self.n <= _CHOLESKY_MAX_N
+                  else (np.empty_like(rhs), range(len(rhs))))
         for r in bad:
             try:
                 x[r] = np.linalg.solve(self.laplacian(weights[r:r + 1])[0, 1:, 1:], rhs[r])
@@ -480,8 +479,8 @@ def bt_mle(
     if data.n == 1:
         return MleResult(ExpectedValueVector(np.zeros(1)), 0.0, 0, True)
     ii, jj, d1, d2 = _pair_data(data)
-    # Scaled exactly, by a power of two, to below 1, the Newton sums stay finite.
-    d1, d2 = np.ldexp([d1, d2], -math.frexp(max(d1.max(), d2.max()))[1])[:, None]
+    # Amounts above 2^512 are scaled down by a power of two: Newton sums stay finite.
+    d1, d2 = np.ldexp([d1, d2], min(0, 512 - math.frexp(max(d1.max(), d2.max()))[1]))[:, None]
     m_rows, iterations, converged = _newton_rows(d1, d2, ii, jj, data.n, model, tol, max_iter)
     steps = int(iterations[0])
     if not converged[0]:

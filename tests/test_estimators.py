@@ -449,6 +449,28 @@ class TestBtMle:
         for k in (-1000, -500, 500, 960):
             assert bt_mle(data.scaled(2.0**k), model).m.values.tobytes() == base
 
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_amounts_near_the_float_maximum_fit(self, model):
+        # The fit converges; the log-likelihood of the caller's amounts is
+        # below -1.8e308, so it rounds to -inf, without an overflow warning.
+        pairs = pair_order(4)
+        data = DataMatrix(4, {p: (1e308, 1.7e308)[::(-1) ** s] for s, p in enumerate(pairs)})
+        result = bt_mle(data, model)
+        assert result.converged and np.isfinite(result.m.values).all()
+        assert result.loglik == -math.inf
+
+    def test_a_subnormal_amount_reaches_the_newton_solve_as_given(self, monkeypatch):
+        kernel, seen = estimators._newton_rows, []
+
+        def recorded(d1, d2, *args):
+            seen.append((d1.tobytes(), d2.tobytes()))
+            return kernel(d1, d2, *args)
+
+        monkeypatch.setattr(estimators, "_newton_rows", recorded)
+        result = bt_mle(DataMatrix(2, {(0, 1): (1e-310, 1.0)}), NORMAL)
+        assert seen == [(np.array([1e-310]).tobytes(), np.array([1.0]).tobytes())]
+        assert result.converged and -38.0 < result.m.values[1] < -37.0
+
     def test_mm_ascends_the_likelihood_every_step(self, probs_modified):
         pi = np.ones(4)
         previous = -math.inf
@@ -784,30 +806,23 @@ class TestColumnSolve:
         rng = np.random.default_rng(107)
         n = estimators._CHOLESKY_MAX_N + 1
         ii, jj, weights, rhs = _solve_rows(rng, n, 20, False)
+        # Row 11 weights its first pair by -6, which leaves its system
+        # regular but indefinite.
+        weights[11, 0] = -6.0
+        grounded = _four_block_laplacian(ii, jj, n, weights[11:12])[0, 1:, 1:]
+        assert np.linalg.eigvalsh(grounded).min() < 0.0
         plan = _Incidence(ii, jj, n, 20)
         x = plan.solve(weights, rhs)
         assert x.tobytes() == _lapack_solve(ii, jj, n, weights, rhs).tobytes()
-        # A singular row gets NaN; the others keep their bits.
+        # A singular row gets NaN; the others keep their bits, those of each
+        # row solved alone.
         weights[4] = 0.0
         singular = plan.solve(weights, rhs)
         assert np.isnan(singular[4]).all()
         assert np.delete(singular, 4, axis=0).tobytes() == np.delete(x, 4, axis=0).tobytes()
-
-    def test_larger_league_rows_are_solved_independently(self):
-        # Row 3 has no weight at all, so its system is singular; row 11
-        # weights its first pair by -6, which leaves its system regular but
-        # indefinite.  Every row has the bits it gets when solved alone.
-        rng = np.random.default_rng(113)
-        n = estimators._CHOLESKY_MAX_N + 1
-        ii, jj, weights, rhs = _solve_rows(rng, n, 20, False)
-        weights[3], weights[11, 0] = 0.0, -6.0
-        grounded = _four_block_laplacian(ii, jj, n, weights[11:12])[0, 1:, 1:]
-        assert np.linalg.eigvalsh(grounded).min() < 0.0
-        x = _Incidence(ii, jj, n, 20).solve(weights, rhs)
-        assert np.isnan(x[3]).all() and np.isfinite(np.delete(x, 3, axis=0)).all()
         alone = _Incidence(ii, jj, n, 1)
         for r in range(20):
-            assert x[r].tobytes() == alone.solve(weights[r:r + 1], rhs[r:r + 1])[0].tobytes()
+            assert singular[r].tobytes() == alone.solve(weights[r:r + 1], rhs[r:r + 1])[0].tobytes()
 
 
 def _one_sided(rng, d1, d2, ii, jj, n):
