@@ -259,6 +259,48 @@ class TestConsistency:
             scaled.max_cycle_deviation, abs=1e-9
         )
 
+    def test_witness_is_a_simple_cycle_of_the_worst_deviation(self):
+        # Small integer amounts make some cycles exactly consistent, so the
+        # worst one is often far from vertex 0, the root of the checked tree.
+        from tests.conftest import random_connected_graph
+
+        rng = np.random.default_rng(17)
+        inconsistent = off_root = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            graph = random_connected_graph(rng, n)
+            data = DataMatrix(
+                n, {p: tuple(float(a) for a in rng.integers(1, 4, 2)) for p in graph.sorted_edges()}
+            )
+            for tol in (0.0, 1e-9, 0.3):
+                for report in (data_consistency(data, tol), pcm_consistency(pcm_from_data(data), tol)):
+                    if report.consistent:
+                        assert report.witness is None
+                        continue
+                    inconsistent += 1
+                    cycle = report.witness
+                    off_root += 0 not in cycle
+                    assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+                    total = 0.0
+                    for k, u in enumerate(cycle):
+                        v = cycle[(k + 1) % len(cycle)]
+                        assert (min(u, v), max(u, v)) in graph.edges
+                        d1, d2 = data.value(u, v)
+                        total += math.log(d2) - math.log(d1)
+                    assert abs(abs(total) - report.max_cycle_deviation) <= 1e-12
+        assert inconsistent > 500 and off_root > 50
+
+    def test_witness_off_the_root(self):
+        # Item 1 is the parent of items 2 and 3 in the checked tree, so the
+        # only cycle, through the pair (2, 3), avoids the root 0.
+        data = DataMatrix(
+            4, {(0, 1): (1.0, 2.0), (1, 2): (1.0, 3.0), (1, 3): (1.0, 1.0), (2, 3): (1.0, 1.0)}
+        )
+        for report in (data_consistency(data), pcm_consistency(pcm_from_data(data))):
+            assert not report.consistent
+            assert report.witness == (1, 2, 3)
+            assert report.max_cycle_deviation == pytest.approx(math.log(3.0), abs=1e-15)
+
     def test_relabeling_preserves_verdict(self, probs_modified):
         # The checked (fundamental) cycle family depends on the labels, so the
         # reported deviation may move between equally valid worst cycles; the
