@@ -405,30 +405,32 @@ def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
     smallest vertex first, then the smaller of its two neighbors."""
     k = cycle.index(min(cycle))
     rotated = cycle[k:] + cycle[:k]
-    if len(rotated) > 2 and rotated[-1] < rotated[1]:
+    if rotated[-1] < rotated[1]:
         rotated = [rotated[0]] + rotated[1:][::-1]
     return tuple(rotated)
 
 
 def _cycle_check(
-    graph: ComparisonGraph, log_ratio: Mapping[tuple[int, int], float], tol: float
+    n: int, log_ratio: Mapping[tuple[int, int], float], tol: float
 ) -> ConsistencyReport:
     """Check that every fundamental cycle of the breadth-first spanning tree
-    from vertex 0 (lowest-index neighbors first) has zero sum of log ratios
-    (within tol); raises if the graph is not connected, and raises ValueError
-    unless tol >= 0, as a failed check must name a witness cycle.  Any cycle's
-    sum is a signed combination of fundamental-cycle sums, so fundamental
-    cycles suffice.
+    from vertex 0 (lowest-index neighbors first) of the graph of the pairs of
+    ``log_ratio`` on n vertices has zero sum of log ratios (within tol);
+    raises if the graph is not connected, and raises ValueError unless
+    tol >= 0, as a failed check must name a witness cycle.  Any cycle's sum
+    is a signed combination of fundamental-cycle sums, so fundamental cycles
+    suffice.
 
     ``log_ratio[(i, j)]`` (i < j) is ln of the ratio oriented from i to j; the
     reverse orientation contributes the negative.
     """
     if not tol >= 0.0:  # NaN included
         raise ValueError(f"cycle tolerance must be nonnegative, got {tol}")
+    graph = ComparisonGraph(n, log_ratio)
     parent = _breadth_first(graph.adjacency())
-    if len(parent) != graph.n:
+    if len(parent) != n:
         raise DisconnectedGraph(
-            f"comparison graph is not connected ({len(parent)} of {graph.n} vertices reachable)"
+            f"comparison graph is not connected ({len(parent)} of {n} vertices reachable)"
         )
 
     def oriented(u: int, v: int) -> float:
@@ -437,55 +439,45 @@ def _cycle_check(
     # Potentials along the tree: y mimics expected values, so that a
     # consistent graph has oriented(u, v) == y[u] - y[v] on every edge.
     y = {0: 0.0}
-    tree_edges = set()
     for v, p in list(parent.items())[1:]:
         y[v] = y[p] - oriented(p, v)
-        tree_edges.add((min(p, v), max(p, v)))
 
-    worst = 0.0
-    worst_edge: tuple[int, int] | None = None
+    worst, worst_edge = 0.0, (0, 0)
     for u, v in graph.sorted_edges():
-        if (u, v) in tree_edges:
+        if parent[u] == v or parent[v] == u:  # a tree edge closes no cycle
             continue
         deviation = abs(oriented(u, v) - (y[u] - y[v]))
         if deviation > worst:
-            worst = deviation
-            worst_edge = (u, v)
+            worst, worst_edge = deviation, (u, v)
+    if worst <= tol:
+        return ConsistencyReport(True, worst)
 
-    consistent = worst <= tol
-    witness = None
-    if not consistent and worst_edge is not None:
-        u, v = worst_edge
-        path_u = [u]
-        while path_u[-1] != 0:
-            path_u.append(parent[path_u[-1]])
-        path_v = [v]
-        while path_v[-1] != 0:
-            path_v.append(parent[path_v[-1]])
-        in_u = set(path_u)
-        lca = next(x for x in path_v if x in in_u)
-        cycle = path_u[: path_u.index(lca) + 1] + path_v[: path_v.index(lca)][::-1]
-        witness = _canonical_cycle(cycle)
-    return ConsistencyReport(consistent, worst, witness)
+    # Neither end of a non-tree edge is the other's ancestor, so the two
+    # paths to the root part below their lowest common ancestor.
+    path_u, path_v = ([x] for x in worst_edge)
+    for path in (path_u, path_v):
+        while path[-1] != 0:
+            path.append(parent[path[-1]])
+    while path_u[-2] == path_v[-2]:  # cut the shared tail down to the ancestor
+        path_u.pop()
+        path_v.pop()
+    return ConsistencyReport(False, worst, _canonical_cycle(path_u + path_v[-2::-1]))
 
 
 def data_consistency(data: DataMatrix, tol: float = DEFAULT_CYCLE_TOL) -> ConsistencyReport:
     """Consistency of comparison data: cycle products of h_ij = d2/d1 over
     the both-sides-positive pair set must all equal 1."""
-    pairs = data.comparison_pairs
-    graph = ComparisonGraph(data.n, pairs)
     log_ratio = {
         (i, j): math.log(data.entries[(i, j)][1]) - math.log(data.entries[(i, j)][0])
-        for (i, j) in pairs
+        for (i, j) in data.comparison_pairs
     }
-    return _cycle_check(graph, log_ratio, tol)
+    return _cycle_check(data.n, log_ratio, tol)
 
 
 def pcm_consistency(pcm: IPCM, tol: float = DEFAULT_CYCLE_TOL) -> ConsistencyReport:
     """Consistency of a ratio matrix: cycle products of a_ij must equal 1."""
-    graph = pcm.representing_graph()
     log_ratio = {(i, j): math.log(pcm.entries[(i, j)]) for (i, j) in pcm.known_pairs()}
-    return _cycle_check(graph, log_ratio, tol)
+    return _cycle_check(pcm.n, log_ratio, tol)
 
 
 def ford_condition(data: DataMatrix) -> bool:
