@@ -802,6 +802,21 @@ class TestColumnSolve:
         regular = np.delete(np.arange(rows), [1, 2])
         assert x[regular].tobytes() == plan.solve(weights[regular], rhs[regular]).tobytes()
 
+    @pytest.mark.parametrize("rows", [3, estimators._FLOAT_ROWS + 3])
+    def test_a_row_with_a_result_that_is_not_finite_is_solved_alone_by_lapack(self, rows):
+        # Row 1's pivots are positive, but the recurrence overflows to
+        # (-inf, -inf), where LAPACK keeps the second coordinate finite.
+        rng = np.random.default_rng(113)
+        ii, jj, weights, rhs = _solve_rows(rng, 3, rows, True)
+        weights[1], rhs[1] = [1.31550393e-300, 7.94445328e299, 1.99421179e-200], [-1e150, -1.0]
+        plan = _Incidence(ii, jj, 3, rows)
+        x = plan.solve(weights, rhs)
+        alone = _lapack_solve(ii, jj, 3, weights[1:2], rhs[1:2])[0]
+        assert x[1].tobytes() == alone.tobytes()
+        assert x[1, 0] == -np.inf and np.isfinite(x[1, 1])
+        regular = np.delete(np.arange(rows), 1)
+        assert x[regular].tobytes() == plan.solve(weights[regular], rhs[regular]).tobytes()
+
     def test_larger_leagues_are_solved_by_lapack(self):
         rng = np.random.default_rng(107)
         n = estimators._CHOLESKY_MAX_N + 1
