@@ -61,7 +61,10 @@ class ModelKind(enum.Enum):
     differences delta = m_i - m_j to ln F(delta) and ln F(-delta) of the rows
     ``searched`` (an index or a slice), and every pair's slope and negated
     curvature in delta of d1 ln F(-delta) + d2 ln F(delta), which is positive
-    so that the reduced Laplacian it weights is definite on connected graphs."""
+    so that the reduced Laplacian it weights is definite on connected graphs.
+    The normal curvature loses accuracy as delta^2 grows, as its slope does (see
+    ``log_likelihood_gradient``): with d1 = d2 = 1, relative 1.7e-9 at |delta|
+    = 100, 1e-5 at 1e3, 0.61 at 1e4; wrong beyond, at times negative from 5e8."""
 
     LOGISTIC = "logistic", expit, log_expit, logit, _logistic_terms
     NORMAL = "normal", ndtr, log_ndtr, ndtri, _normal_terms
@@ -414,12 +417,11 @@ def _cycle_check(
     n: int, log_ratio: Mapping[tuple[int, int], float], tol: float
 ) -> ConsistencyReport:
     """Check that every fundamental cycle of the breadth-first spanning tree
-    from vertex 0 (lowest-index neighbors first) of the graph of the pairs of
-    ``log_ratio`` on n vertices has zero sum of log ratios (within tol);
-    raises if the graph is not connected, and raises ValueError unless
-    tol >= 0, as a failed check must name a witness cycle.  Any cycle's sum
-    is a signed combination of fundamental-cycle sums, so fundamental cycles
-    suffice.
+    from vertex 0 (lowest-index neighbors first) of the n-vertex graph of the
+    pairs of ``log_ratio`` has zero sum of log ratios (within tol); raises if
+    the graph is not connected, and raises ValueError unless tol >= 0, as a
+    failed check must name a witness cycle.  Any cycle's sum is a signed
+    combination of fundamental-cycle sums, so fundamental cycles suffice.
 
     ``log_ratio[(i, j)]`` (i < j) is ln of the ratio oriented from i to j; the
     reverse orientation contributes the negative.
@@ -467,16 +469,14 @@ def _cycle_check(
 def data_consistency(data: DataMatrix, tol: float = DEFAULT_CYCLE_TOL) -> ConsistencyReport:
     """Consistency of comparison data: cycle products of h_ij = d2/d1 over
     the both-sides-positive pair set must all equal 1."""
-    log_ratio = {
-        (i, j): math.log(data.entries[(i, j)][1]) - math.log(data.entries[(i, j)][0])
-        for (i, j) in data.comparison_pairs
-    }
+    pairs = data.comparison_pairs
+    log_ratio = {p: math.log(data.entries[p][1]) - math.log(data.entries[p][0]) for p in pairs}
     return _cycle_check(data.n, log_ratio, tol)
 
 
 def pcm_consistency(pcm: IPCM, tol: float = DEFAULT_CYCLE_TOL) -> ConsistencyReport:
     """Consistency of a ratio matrix: cycle products of a_ij must equal 1."""
-    log_ratio = {(i, j): math.log(pcm.entries[(i, j)]) for (i, j) in pcm.known_pairs()}
+    log_ratio = {p: math.log(pcm.entries[p]) for p in pcm.known_pairs()}
     return _cycle_check(pcm.n, log_ratio, tol)
 
 
