@@ -1,5 +1,6 @@
 """Scale run of the simulate experiment: wall time per replication, peak
-memory and Newton iterations for n = 4, 5 and 6 under both models.
+memory and Newton iterations for n = 4, 5 and 6 under both models, and the
+single-call latency and Newton steps of em on partial matrices.
 
     python3 scripts/scale.py                # 10^5 replications per configuration
     python3 scripts/scale.py --sims 1000000 # the paper's scale
@@ -10,8 +11,15 @@ perturbation 0.15 and seed 1.  Peak memory is that process's
 maximum resident set size.  A second fresh process makes a fifth of the
 replications, so the file shows whether peak memory grows with the
 replication count.  Iterations are the Newton steps of every
-(replication, structure) row, complete structure included.  The result is
-written as JSON to BENCH_scale.json at the repository root.
+(replication, structure) row, complete structure included.
+
+The em section times ``paircomp.em`` on EM_MATRICES partial matrices for
+each of n = 4, 5 and 6, in a fresh process each: the incomplete catalog
+structures in turn, integer weights 1..9 and each known ratio w_i / w_j
+times exp(U(-EM_NOISE, EM_NOISE)), drawn from seed 1.  It reports the
+median wall time of one call and how many calls took each number of
+Newton steps of the eigenvalue-minimal completion.  The result is written
+as JSON to BENCH_scale.json at the repository root.
 
 Not part of the test suite: the default run takes about four and a half
 minutes on one core (the committed BENCH_scale.json sums to 4.3 minutes,
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -33,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = [(n, model) for n in (4, 5, 6) for model in ("logistic", "normal")]
 PERTURB, SEED = 0.15, 1
+EM_NS, EM_MATRICES, EM_NOISE = (4, 5, 6), 2000, 0.3
 
 
 def measure(n: int, model: str, sims: int) -> dict:
@@ -77,6 +87,37 @@ def measure(n: int, model: str, sims: int) -> dict:
     }
 
 
+def measure_em(n: int, count: int) -> dict:
+    """The em section for n items, in this process."""
+    import numpy as np
+
+    from paircomp import IPCM, em, enumerate_connected
+
+    rng = np.random.default_rng([SEED, n])
+    classes = [c for c in enumerate_connected(n) if c.edge_count < n * (n - 1) // 2]
+    pcms = []
+    for k in range(count):
+        weights = rng.integers(1, 10, size=n).astype(float)
+        pcms.append(IPCM.from_upper(n, {
+            (i, j): weights[i] / weights[j] * math.exp(rng.uniform(-EM_NOISE, EM_NOISE))
+            for i, j in classes[k % len(classes)].member().sorted_edges()
+        }))
+    em(pcms[0])  # first-call costs stay out of the timings
+    times, steps = [], []
+    for pcm in pcms:
+        start = time.perf_counter()
+        steps.append(em(pcm).iterations)
+        times.append(time.perf_counter() - start)
+    return {
+        "n": n,
+        "matrices": count,
+        "structures": len(classes),
+        "call_us_p50": round(1e6 * float(np.median(times)), 1),
+        "newton_steps": {str(k): int(c) for k, c in enumerate(np.bincount(steps)) if c},
+        "newton_steps_mean": round(float(np.mean(steps)), 3),
+    }
+
+
 def cpu_name() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -102,11 +143,12 @@ def main(argv=None) -> int:
     parser.add_argument("--sims", type=int, default=100_000)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
     parser.add_argument("--child", nargs=3, metavar=("N", "MODEL", "SIMS"),
-                        help=argparse.SUPPRESS)
+                        help=argparse.SUPPRESS)  # MODEL "em": the em section
     args = parser.parse_args(argv)
     if args.child:
         n, model, sims = args.child
-        print(json.dumps(measure(int(n), model, int(sims))))
+        print(json.dumps(measure_em(int(n), int(sims)) if model == "em"
+                         else measure(int(n), model, int(sims))))
         return 0
     if args.sims < 5:
         parser.error("--sims must be at least 5")
@@ -123,6 +165,11 @@ def main(argv=None) -> int:
         print(f"n={n} {model}: {record['ms_per_rep']} ms/rep, peak {record['peak_rss_mib']} MiB "
               f"({probe['peak_rss_mib']} MiB at {probe['sims']}), iterations p50 "
               f"{record['iterations']['p50']} max {record['iterations']['max']}", file=sys.stderr)
+    em_runs = []
+    for n in EM_NS:
+        em_runs.append(fresh_process(n, "em", EM_MATRICES))
+        print(f"em n={n}: {em_runs[-1]['call_us_p50']} us/call, Newton steps "
+              f"{em_runs[-1]['newton_steps']}", file=sys.stderr)
     payload = {
         "command": f"python3 scripts/scale.py --sims {args.sims}",
         "settings": {"perturb": PERTURB, "seed": SEED, "workers": 1},
@@ -134,6 +181,7 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
         },
         "runs": runs,
+        "em": {"settings": {"noise": EM_NOISE, "seed": SEED}, "runs": em_runs},
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 0

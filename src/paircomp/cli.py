@@ -28,7 +28,7 @@ from .errors import (
 )
 from .estimators import bt_mle, em, llsm, weights_from_m
 from .graphs import MAX_CATALOG_N, enumerate_connected
-from .simulation import DEFAULT_EPSILON, SimulationConfig, _pair_signs, run
+from .simulation import DEFAULT_EPSILON, SimulationConfig, _pair_signs, _sign_sums, run
 
 
 #: Likelihood method of ``rank`` -> its model; the other methods read ratios.
@@ -37,7 +37,7 @@ _LIKELIHOOD_METHODS = {"bt": ModelKind.LOGISTIC, "thurstone": ModelKind.NORMAL}
 
 def _ranks_descending(weights: np.ndarray) -> np.ndarray:
     """Rank 1 = largest weight; ties share the average rank."""
-    return 0.5 * (len(weights) + 1 - _pair_signs(weights).sum(axis=-1))
+    return 0.5 * (len(weights) + 1 - _sign_sums(_pair_signs(weights), len(weights)))
 
 
 def _write_output(text: str, out: str | None) -> None:

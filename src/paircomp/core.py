@@ -136,7 +136,7 @@ class ComparisonGraph:
         return tuple(deg)
 
     def is_connected(self) -> bool:
-        return len(_breadth_first(self.adjacency())) == self.n
+        return _spans(self.n, self.edges)
 
 
 def _breadth_first(adj, source: int = 0) -> dict[int, int]:
@@ -154,6 +154,15 @@ def _breadth_first(adj, source: int = 0) -> dict[int, int]:
                 parent[w] = v
                 order.append(w)
     return parent
+
+
+def _spans(n: int, pairs) -> bool:
+    """Whether the undirected ``pairs`` (i, j) connect all n vertices."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    return len(_breadth_first(adj)) == n
 
 
 @dataclass(frozen=True)
@@ -487,10 +496,14 @@ def ford_condition(data: DataMatrix) -> bool:
     connectivity is necessary and sufficient for the existence and uniqueness
     of the Bradley-Terry maximum likelihood estimate.
     """
-    n = data.n
+    return _ford_holds(data.n, data.entries.items())
+
+
+def _ford_holds(n: int, entries) -> bool:
+    """:func:`ford_condition` of the amounts ((i, j), (d1, d2)) in ``entries``."""
     out: list[list[int]] = [[] for _ in range(n)]
     into: list[list[int]] = [[] for _ in range(n)]
-    for (i, j), (d1, d2) in data.entries.items():
+    for (i, j), (d1, d2) in entries:
         if d2 > 0:  # i better than j
             out[i].append(j)
             into[j].append(i)

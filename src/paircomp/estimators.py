@@ -30,7 +30,10 @@ likelihood optima then coincide, so the start is the MLE; under noise it is
 close to it.  The eigenvalue completion minimizes log lambda_max, which is
 convex in the logs of the missing entries with a unique optimum on connected
 comparison graphs, by damped Newton with the exact Perron gradient and
-Hessian; each iterate's eigenpair comes from one dense eigendecomposition.
+Hessian, from LLSM's grounded solve; each iterate's eigenpair comes from one
+dense eigendecomposition.  Its tolerance bounds the distance to the optimum
+in the same way: a Newton step within it returns the iterate as it is, and
+after a full step the completion stops on the same estimate K s^2.
 
 All iteration is in lexicographic pair order, so results are reproducible
 bit for bit.
@@ -51,6 +54,8 @@ from .core import (
     ExpectedValueVector,
     ModelKind,
     WeightVector,
+    _ford_holds,
+    _spans,
     ford_condition,
     pair_order,
 )
@@ -61,8 +66,10 @@ from .graphs import MAX_CATALOG_N
 DEFAULT_MLE_TOL = 1e-10
 #: Relative residual ||A w - lambda w||_inf the Perron eigenpair must meet.
 DEFAULT_EIG_TOL = 1e-12
-#: The eigenvalue-minimal completion has converged when the full Newton step's
-#: max norm (in the log entries) is below this.
+#: Bound on the eigenvalue-minimal completion's distance to the optimum, in
+#: max norm over the log entries: the completion stops on a full Newton step
+#: of at most this size, before taking it, or after a full step whose
+#: estimate K s^2 of the distance left is below a tenth of it.
 DEFAULT_COMPLETION_TOL = 1e-12
 #: Iteration cap shared by all solvers.
 DEFAULT_MAX_ITER = 100_000
@@ -72,7 +79,8 @@ DEFAULT_MAX_ITER = 100_000
 class EmResult:
     """Eigenvector evaluation: weights and the principal eigenvalue of the
     evaluated (or optimally completed) matrix, and the Newton steps of the
-    completion (0 for a complete matrix)."""
+    completion, counting a last one that only shows convergence (0 for a
+    complete matrix)."""
 
     weights: WeightVector
     lambda_max: float
@@ -364,11 +372,14 @@ def _least_squares_start(d1, d2, model: ModelKind, plan: _Incidence):
 
 def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     """Damped Newton ascent of the concave log-likelihood in the m_1 = 0
-    gauge, one independent problem per row of (d1, d2).  Every row must
-    have a maximum, a strongly connected directed comparison graph (as
-    :func:`bt_mle` checks): a row without one runs off and ends
-    unconverged, after ``max_iter`` steps or on the first step whose Newton
-    system is singular (its curvatures underflow), where it stops.
+    gauge, one independent problem per row of (d1, d2).  A row has a
+    maximum when its directed comparison graph is strongly connected, the
+    Ford condition :func:`bt_mle` checks; each row with a one-sided pair
+    (one amount zero) is tested, and one that fails is reported
+    unconverged after 0 iterations, at its start.  The other rows must be
+    connected.  A row also ends unconverged after ``max_iter`` steps, or on
+    the first step whose Newton system is singular (its curvatures
+    underflow), where it stops.
 
     Each row starts from :func:`_least_squares_start`, on consistent data
     the optimum itself (see the module docstring).  The negative Hessian is
@@ -395,7 +406,20 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     iterations = np.zeros(rows, dtype=np.intp)
     converged = np.ones(rows, dtype=bool)
     active = np.arange(rows)
-    last_square = np.ones(rows)
+    # Only a row with a one-sided pair (one amount zero, the other not) can
+    # lack a maximum.  Those that fail the Ford test stop at the start,
+    # unconverged.
+    one_sided = np.logical_xor(d1, d2)
+    if one_sided.any():
+        pairs = list(zip(ii.tolist(), jj.tolist()))
+        for r in np.flatnonzero(one_sided.any(axis=1)):
+            converged[r] = _ford_holds(n, zip(pairs, zip(d1[r].tolist(), d2[r].tolist())))
+        active = np.flatnonzero(converged)
+        if active.size == 0:
+            return m, iterations, converged
+        x, d1, d2, current, g_pair, h_pair = (
+            a[active] for a in (x, d1, d2, current, g_pair, h_pair))
+    last_square = np.ones(active.size)
     bound = 0.1 * tol
     threshold = len(ii) * np.finfo(float).eps
     for step in range(1, max_iter + 1):
@@ -498,23 +522,22 @@ def llsm(pcm: IPCM) -> WeightVector:
     (ln a_ij - ln(w_i / w_j))^2, via the graph-Laplacian normal equations
     with the first log-weight grounded at 0.  Unique when the representing
     graph is connected."""
-    if not pcm.representing_graph().is_connected():
+    known = pcm.known_pairs()
+    if not _spans(pcm.n, known):
         raise DisconnectedGraph("logarithmic least squares needs a connected graph")
-    return _llsm_weights(pcm)
+    return WeightVector(_softmax_rows(_grounded_log_weights(pcm, known)))
 
 
-def _llsm_weights(pcm: IPCM) -> WeightVector:
-    """:func:`llsm` of a matrix whose graph is known to be connected."""
-    n = pcm.n
-    if n == 1:
-        return WeightVector(np.ones(1))
-    pairs = pcm.known_pairs()
-    ii, jj = np.array(pairs, dtype=np.intp).T
-    log_ratio = np.array([[math.log(pcm.entries[p]) for p in pairs]])
-    plan = _Incidence(ii, jj, n, 1)
-    y = np.zeros(n)
-    y[1:] = plan.solve(np.ones_like(log_ratio), plan.vertex_sums(log_ratio)[:, 1:])[0]
-    return WeightVector(_softmax_rows(y))
+def _grounded_log_weights(pcm: IPCM, known) -> np.ndarray:
+    """The log-weights y of :func:`llsm`, in the gauge y_1 = 0, from the
+    ``known`` pairs of the matrix, whose graph must be connected."""
+    y = np.zeros(pcm.n)
+    if known:
+        ii, jj = np.array(known, dtype=np.intp).T
+        log_ratio = np.array([[math.log(pcm.entries[p]) for p in known]])
+        plan = _Incidence(ii, jj, pcm.n, 1)
+        y[1:] = plan.solve(np.ones_like(log_ratio), plan.vertex_sums(log_ratio)[:, 1:])[0]
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +553,18 @@ def _perron_pair(matrix: np.ndarray):
     return float(values[top].real), vec / vec.sum()
 
 
-def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
+def _complete_lambda_min(pcm: IPCM, known, completion_tol, max_iter):
     """Fill the missing entries of a partial matrix by minimizing
     f(t) = log lambda_max, with entry (i, j) parametrized as exp(t) and
     (j, i) as exp(-t).  f is convex in t and its minimum is unique on
     connected graphs (Bozoki, Fulop & Ronyai 2010), so damped Newton with the
-    exact Perron derivatives converges in a few steps.  Returns the completed
-    matrix, its Perron root and right Perron vector (summing to 1), and the
-    number of Newton steps."""
+    exact Perron derivatives converges in a few steps; :func:`em` states
+    when it stops.  ``known`` lists the matrix's known pairs, whose graph
+    must be connected.  Returns the completed matrix, its Perron root and
+    right Perron vector (summing to 1), and the number of Newton steps."""
     n = pcm.n
     ii, jj = np.array([p for p in pair_order(n) if p not in pcm.entries], dtype=np.intp).T
-    base, eye = pcm.as_array(missing=1.0), np.eye(n)
+    base, eye, rows = pcm.as_array(missing=1.0), np.eye(n), np.arange(len(ii))
 
     def completed(tv):
         a = base.copy()
@@ -550,11 +574,12 @@ def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
 
     # Start from the least-squares completion: already optimal when the known
     # part is consistent, and a good neighborhood otherwise.
-    log_w = np.log(_llsm_weights(pcm).values)
-    t = log_w[ii] - log_w[jj]
+    y = _grounded_log_weights(pcm, known)
+    t = y[ii] - y[jj]
     a = completed(t)
     lam, w = _perron_pair(a)
     previous = math.inf
+    bound = 0.1 * completion_tol
     for step in range(1, max_iter + 1):
         # Left and right Perron vectors u, w with u.w = 1.  With dA_s the
         # derivative of A in t_s, d lambda / d t_s = u' dA_s w; row s of dw
@@ -567,21 +592,27 @@ def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
         current = math.log(lam)
         inverse = np.linalg.inv(lam * eye - a + w[:, None])
         u = inverse.sum(axis=0)
-        up, down = a[ii, jj], a[jj, ii]
-        upper, lower = u[ii] * up * w[jj], u[jj] * down * w[ii]
+        up, down, w_ii, w_jj = a[ii, jj], a[jj, ii], w[ii], w[jj]
+        u_up, u_down = u[ii] * up, u[jj] * down
+        upper, lower = u_up * w_jj, u_down * w_ii
         grad = (upper - lower) / lam
-        dw = eye[ii] * (up * w[jj])[:, None] - eye[jj] * (down * w[ii])[:, None]
-        du = eye[jj] * (u[ii] * up)[:, None] - eye[ii] * (u[jj] * down)[:, None]
+        dw, du = np.zeros((2, len(ii), n))
+        dw[rows, ii], dw[rows, jj] = up * w_jj, -(down * w_ii)
+        du[rows, jj], du[rows, ii] = u_up, -u_down
         complement = eye - np.outer(w, u)
         mixed = du @ (complement @ inverse @ complement) @ dw.T
         hess = (np.diag(upper + lower) + mixed + mixed.T) / lam - np.outer(grad, grad)
         direction = -np.linalg.solve(hess, grad)
+        # A full step of max norm s bounds the distance to the optimum by
+        # about s: within the tolerance, t is returned as it is.
+        size = float(np.max(np.abs(direction)))
+        if size <= completion_tol:
+            return a, lam, w, step
         # Take the full step where the descent it promises (half the Newton
         # decrement) is below the rounding of f: there a line search compares
         # noise.  Elsewhere halve until f does not increase, at most 60
         # times.  Each point is built and decomposed once, unless it leaves t
         # as it is, and the point taken, matrix and pair, is the next iterate.
-        size = float(np.max(np.abs(direction)))
         flat = -0.5 * (grad @ direction) <= n * np.finfo(float).eps * max(1.0, abs(current))
         scale = 1.0
         for halvings in range(61):
@@ -593,9 +624,15 @@ def _complete_lambda_min(pcm: IPCM, completion_tol, max_iter):
             scale *= 0.5
         t, a = moved, trial
         lam, w = taken
+        # Convergence is quadratic: the full step leaves about K s^2 to go,
+        # with K estimated as max(s / s'^2, 1) from the previous step's s'
+        # (K = 1 on the first).  Stop once that is below a tenth of the
+        # tolerance, as the likelihood fits do (:func:`_newton_rows`), in the
+        # form s^2 <= (tol / 10) min(1, s'^2 / s), which needs no s' > 0.
         # Where f is flat to rounding, a full step that no longer shrinks is
         # rounding noise in a direction f hardly sees: stop there as well.
-        if size < completion_tol or (flat and size >= previous):
+        if (scale == 1.0 and size * size <= bound * min(1.0, previous * previous / size)
+                or flat and size >= previous):
             return a, lam, w, step
         previous = size
     raise NoConvergence("eigenvalue-minimal completion did not converge", max_iter)
@@ -612,11 +649,15 @@ def em(
 
     A complete matrix is evaluated directly; a partial one is evaluated on
     its eigenvalue-minimal completion, found by damped Newton on
-    log lambda_max.  The completion stops when the full step's max norm is
-    below ``completion_tol``, or, once log lambda_max is flat to rounding,
-    when the full step stops shrinking; it raises :class:`NoConvergence`
-    after ``max_iter`` steps.  The eigenpair comes from the dense
-    eigendecomposition and must pass the residual test
+    log lambda_max from the least-squares completion.  ``completion_tol``
+    bounds the distance ||t - t*||_inf of the completion's log entries to
+    the optimum: the completion returns its iterate as it is when the full
+    Newton step's max norm s is at most ``completion_tol``, and stops after
+    a step taken in full once K s^2 <= ``completion_tol`` / 10, with
+    K = max(s / s'^2, 1) from the previous step s'.  Once log lambda_max is
+    flat to rounding it also stops when the full step stops shrinking.  It
+    raises :class:`NoConvergence` after ``max_iter`` steps.  The eigenpair
+    comes from the dense eigendecomposition and must pass the residual test
     ||A w - lambda w||_inf <= eig_tol * max(1, ||A w||_inf), or
     :class:`NoConvergence` is raised.  ``eig_tol`` > 0, as no floating-point
     eigenpair meets a zero residual; ``completion_tol`` >= 0; ``max_iter`` >= 1.
@@ -624,14 +665,15 @@ def em(
     if not (eig_tol > 0.0 and completion_tol >= 0.0 and max_iter >= 1):
         raise ValueError("need eig_tol > 0, completion_tol >= 0 and max_iter >= 1, got "
                          f"eig_tol={eig_tol}, completion_tol={completion_tol}, max_iter={max_iter}")
-    if not pcm.representing_graph().is_connected():
+    known = pcm.known_pairs()
+    if not _spans(pcm.n, known):
         raise DisconnectedGraph("eigenvector method needs a connected graph")
     iterations = 0
     if pcm.is_complete:
         matrix = pcm.as_array()
         lam, vec = _perron_pair(matrix)
     else:
-        matrix, lam, vec, iterations = _complete_lambda_min(pcm, completion_tol, max_iter)
+        matrix, lam, vec, iterations = _complete_lambda_min(pcm, known, completion_tol, max_iter)
     image = matrix @ vec
     residual = float(np.max(np.abs(image - lam * vec)))
     if not residual <= eig_tol * max(1.0, float(np.max(np.abs(image)))):

@@ -211,10 +211,32 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(product > 0.0, r, np.nan)
 
 
+@lru_cache(maxsize=8)
+def _pair_plan(n: int):
+    """The pairs (ii, jj) of :func:`pair_order` and the matrix of their
+    vertex sums, shape (k, n): +1 at (s, ii[s]) and -1 at (s, jj[s])."""
+    ii, jj = np.array(pair_order(n), dtype=np.intp).reshape(-1, 2).T
+    sums = np.zeros((len(ii), n))
+    sums[range(len(ii)), ii], sums[range(len(ii)), jj] = 1.0, -1.0
+    for a in (ii, jj, sums):
+        a.flags.writeable = False
+    return ii, jj, sums
+
+
 def _pair_signs(x: np.ndarray) -> np.ndarray:
-    """sign(x_i - x_j) over the last axis, shape (..., n, n).  Its row sums
-    give average ranks: x_i ranks (n + 1)/2 + sum_j sign(x_i - x_j)/2."""
-    return np.sign(x[..., :, None] - x[..., None, :])
+    """sign(x_i - x_j) over the pairs i < j of the last axis, in
+    :func:`pair_order`, shape (..., k)."""
+    ii, jj, _ = _pair_plan(x.shape[-1])
+    return np.sign(x[..., ii] - x[..., jj])
+
+
+def _sign_sums(signs: np.ndarray, n: int) -> np.ndarray:
+    """Vertex sums of pair values over the last axis, shape (..., n): pair
+    (i, j) adds its value to i and subtracts it from j.  Of pair signs they
+    give average ranks: x_i ranks (n + 1)/2 + sum_j sign(x_i - x_j)/2.
+    Sums of small integers are exact, whatever their order."""
+    *lead, k = signs.shape
+    return (signs.reshape(math.prod(lead), k) @ _pair_plan(n)[2]).reshape(*lead, n)
 
 
 def _measure_rows(
@@ -229,14 +251,14 @@ def _measure_rows(
     n = m_full.shape[-1]
     s_full, s_part = _pair_signs(m_full), _pair_signs(m_part)
     # Spearman from average ranks; Kendall from sign agreement, ties scoring 0.
-    rank_gap = 0.5 * (s_full.sum(axis=-1) - s_part.sum(axis=-1))
+    rank_gap = 0.5 * _sign_sums(s_full - s_part, n)
     columns = (
         np.sqrt(np.sum((m_full - m_part) ** 2, axis=-1)),
         np.sqrt(np.sum((w_full - w_part) ** 2, axis=-1)),
         _pearson_rows(m_full, m_part),
         _pearson_rows(w_full, w_part),
         1.0 - 6.0 * np.sum(rank_gap**2, axis=-1) / (n * (n * n - 1)),
-        np.sum(s_full * s_part, axis=(-2, -1)) / (n * (n - 1)),
+        np.sum(s_full * s_part, axis=-1) / (n * (n - 1) // 2),
     )
     return np.stack(columns, axis=-1)
 

@@ -924,7 +924,7 @@ LEAGUE8_RANK = {
     "em": {
         "method": "em",
         "lambda_max": 8.673514243661257,
-        "iterations": 4,
+        "iterations": 3,
         "n": 8,
         "weights": [
             0.11255842979043262, 0.02934885859952733, 0.18426945855771706, 0.0751070992770993,

@@ -217,7 +217,8 @@ class TestEm:
                     for i, j in cls.member().sorted_edges()
                 }
                 pcm = IPCM.from_upper(n, upper)
-                completed = _complete_lambda_min(pcm, DEFAULT_COMPLETION_TOL, DEFAULT_MAX_ITER)[0]
+                completed = _complete_lambda_min(pcm, pcm.known_pairs(), DEFAULT_COMPLETION_TOL,
+                                                DEFAULT_MAX_ITER)[0]
                 missing = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in upper]
                 t = np.array([math.log(completed[i, j]) for i, j in missing])
 
@@ -645,6 +646,9 @@ class TestNewtonKernel:
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     def test_halving_rows_in_a_batch_match_single_runs(self, model, monkeypatch):
+        # The Ford test would stop the stuck row at its start: without it the
+        # row iterates, and its steps run out of halvings.
+        monkeypatch.setattr(estimators, "_ford_holds", lambda n, entries: True)
         d1, d2, ii, jj, stuck = _halving_rows()
         max_iter = 50
         m, iterations, converged = _newton_rows(d1, d2, ii, jj, 4, model, DEFAULT_MLE_TOL,
@@ -672,10 +676,12 @@ class TestNewtonKernel:
         assert len(per_step) == 1 + max_iter and max(per_step) == 61
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
-    def test_a_singular_newton_system_ends_its_row_unconverged(self, model):
+    def test_a_singular_newton_system_ends_its_row_unconverged(self, model, monkeypatch):
         # The halving fixture's stuck row with item 0 losing once to item 1:
         # item 3 still only loses, runs off until its curvatures underflow,
-        # and its Newton system turns singular before 2,000 steps.
+        # and its Newton system turns singular before 2,000 steps.  The Ford
+        # test, which would stop the row at its start, is switched off.
+        monkeypatch.setattr(estimators, "_ford_holds", lambda n, entries: True)
         d1, d2, ii, jj, stuck = _halving_rows()
         d1[2, 0] = 0.1
         max_iter = 2000
@@ -688,6 +694,36 @@ class TestNewtonKernel:
                                  max_iter)
             assert m[r].tobytes() == alone[0][0].tobytes()
             assert iterations[r] == alone[1][0] and converged[r] == alone[2][0]
+
+    @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
+    def test_rows_without_a_maximum_are_reported_at_their_start(self, model, monkeypatch):
+        # Pairs (0, 3), (1, 2), (1, 3), (2, 3).  Row 0: item 0's only pair is
+        # one-sided, so the likelihood has no maximum; iterated, the row runs
+        # off until a step of rounding size passes the bounded stop, after
+        # 88 (logistic) or 44 (normal) steps.  Row 1 has only two-sided
+        # pairs, and row 2 a one-sided pair that keeps the directed graph
+        # strongly connected.
+        ii, jj = np.array([0, 1, 1, 2]), np.array([3, 2, 3, 3])
+        d1 = np.array([[20.0, 16.0, 12.0, 7.0], [3.0, 1.0, 2.0, 5.0], [2.0, 0.0, 4.0, 1.0]])
+        d2 = np.array([[0.0, 4.0, 8.0, 13.0], [1.0, 2.0, 2.0, 3.0], [1.0, 5.0, 3.0, 6.0]])
+        m, iterations, converged = _newton_rows(d1, d2, ii, jj, 4, model, DEFAULT_MLE_TOL,
+                                                DEFAULT_MAX_ITER)
+        assert converged.tolist() == [False, True, True]
+        assert iterations[0] == 0 and not m[0].any() and iterations[1:].min() >= 1
+        for r in range(len(d1)):
+            data = DataMatrix(4, {(i, j): (a, b) for i, j, a, b in zip(ii, jj, d1[r], d2[r])})
+            assert ford_condition(data) == converged[r]
+            alone = _newton_rows(d1[r:r + 1], d2[r:r + 1], ii, jj, 4, model, DEFAULT_MLE_TOL,
+                                 DEFAULT_MAX_ITER)
+            assert m[r].tobytes() == alone[0][0].tobytes()
+            assert iterations[r] == alone[1][0] and converged[r] == alone[2][0]
+
+        # Alone, the row is evaluated and solved only for its start.
+        calls = []
+        monkeypatch.setattr(estimators, "_pair_terms",
+                            lambda *args, terms=estimators._pair_terms: calls.append(0) or terms(*args))
+        _newton_rows(d1[:1], d2[:1], ii, jj, 4, model, DEFAULT_MLE_TOL, DEFAULT_MAX_ITER)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     @pytest.mark.parametrize("tol", [DEFAULT_MLE_TOL, 1e-6])
@@ -933,6 +969,77 @@ class TestOptimumOracle:
                     assert error <= tol, (n, r, tol, float(error))
                 checked += 1
         assert checked == 3 * (3 * 6 + 21 + 28) + 4 * 6 + 3
+
+
+def _exact_completion(mpmath, pcm: IPCM, missing, start):
+    """The log entries t of the eigenvalue-minimal completion of ``pcm`` at
+    its ``missing`` pairs to 40 digits: Newton's method in mpmath from
+    ``start``, with the Perron pair from ``mpmath.eig`` and the gradient and
+    Hessian of log lambda_max written out as in
+    :func:`estimators._complete_lambda_min`."""
+    n, size = pcm.n, len(missing)
+    with mpmath.workdps(40):
+        t = [mpmath.mpf(float(v)) for v in start]
+        for _ in range(10):
+            a = mpmath.eye(n)
+            for (i, j), value in pcm.entries.items():
+                a[i, j] = mpmath.mpf(value)
+            for (i, j), v in zip(missing, t):
+                a[i, j], a[j, i] = mpmath.exp(v), mpmath.exp(-v)
+            values, vectors = mpmath.eig(a)
+            top = max(range(n), key=lambda k: mpmath.re(values[k]))
+            lam = mpmath.re(values[top])
+            w = [mpmath.re(vectors[k, top]) for k in range(n)]
+            w = [v / sum(w) for v in w]
+            inverse = (lam * mpmath.eye(n) - a + mpmath.matrix([[v] * n for v in w])) ** -1
+            u = [sum(inverse[r, c] for r in range(n)) for c in range(n)]
+            complement = mpmath.eye(n) - mpmath.matrix([[v * uc for uc in u] for v in w])
+            resolvent = complement * inverse * complement
+            dw, du = mpmath.zeros(size, n), mpmath.zeros(size, n)
+            grad, diagonal = [], []
+            for s, (i, j) in enumerate(missing):
+                dw[s, i], dw[s, j] = a[i, j] * w[j], -a[j, i] * w[i]
+                du[s, j], du[s, i] = u[i] * a[i, j], -u[j] * a[j, i]
+                grad.append((u[i] * a[i, j] * w[j] - u[j] * a[j, i] * w[i]) / lam)
+                diagonal.append(u[i] * a[i, j] * w[j] + u[j] * a[j, i] * w[i])
+            mixed = du * resolvent * dw.T
+            hess = mpmath.matrix(size, size)
+            for s in range(size):
+                for r in range(size):
+                    hess[s, r] = ((diagonal[s] if s == r else 0) + mixed[s, r] + mixed[r, s]) / lam
+                    hess[s, r] -= grad[s] * grad[r]
+            step = mpmath.lu_solve(hess, mpmath.matrix(grad))
+            t = [v - dv for v, dv in zip(t, step)]
+            if max(abs(dv) for dv in step) < mpmath.mpf(10) ** -32:
+                return t
+    raise AssertionError("the 40-digit completion did not converge")
+
+
+class TestCompletionOracle:
+    def test_completion_is_within_tol_of_the_optimum(self):
+        # Five structures each at n = 4, 5 and 6, spread over the incomplete
+        # catalog, with log-noise of 0.3 and 1 on the known ratios.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(97)
+        checked = 0
+        for n in (4, 5, 6):
+            classes = incomplete_classes(n)
+            for k in range(5):
+                cls = classes[k * len(classes) // 5]
+                weights = rng.integers(1, 10, size=n).astype(float)
+                noise = (0.3, 1.0)[k % 2]
+                upper = {(i, j): weights[i] / weights[j] * math.exp(rng.uniform(-noise, noise))
+                         for i, j in cls.member().sorted_edges()}
+                pcm = IPCM.from_upper(n, upper)
+                completed = _complete_lambda_min(pcm, pcm.known_pairs(), DEFAULT_COMPLETION_TOL,
+                                                 DEFAULT_MAX_ITER)[0]
+                missing = [p for p in pair_order(n) if p not in upper]
+                t = [math.log(completed[i, j]) for i, j in missing]
+                optimum = _exact_completion(mpmath, pcm, missing, t)
+                error = max(abs(mpmath.mpf(a) - b) for a, b in zip(t, optimum))
+                assert error <= DEFAULT_COMPLETION_TOL, (n, k, float(error))
+                checked += 1
+        assert checked == 15
 
 
 class TestLogLikelihood:

@@ -495,6 +495,37 @@ class TestRankMeasures:
         assert np.array_equal(out[..., 5].ravel(), reference_kendall(flat_full, flat_part))
 
 
+def square_rank_columns(m_full: np.ndarray, m_part: np.ndarray):
+    """Spearman's rho and Kendall's tau from the n x n sign matrices
+    sign(m_i - m_j): average ranks from their row sums, and tau as the mean
+    of their products over all ordered pairs, the diagonal's zeros included."""
+    n = m_full.shape[-1]
+    s_full = np.sign(m_full[..., :, None] - m_full[..., None, :])
+    s_part = np.sign(m_part[..., :, None] - m_part[..., None, :])
+    rank_gap = 0.5 * (s_full.sum(axis=-1) - s_part.sum(axis=-1))
+    return (1.0 - 6.0 * np.sum(rank_gap**2, axis=-1) / (n * (n * n - 1)),
+            np.sum(s_full * s_part, axis=(-2, -1)) / (n * (n - 1)))
+
+
+class TestRankColumnsFromPairSigns:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_bytes_match_the_square_sign_matrices(self, n):
+        # Blocks shaped as a chunk scores them, one reference row against
+        # many.  Digits 0..2 force ties; the first replication's rows all tie
+        # while its reference increases, so every product of signs is a
+        # signed zero and tau must be +0.
+        rng = np.random.default_rng(900 + n)
+        full = np.concatenate([rng.integers(0, 3, (20, 1, n)), rng.normal(size=(20, 1, n))])
+        part = np.concatenate([rng.integers(0, 3, (20, 7, n)), rng.normal(size=(20, 7, n))])
+        part[::3] = np.round(full[::3] + 0.5 * rng.normal(size=part[::3].shape))
+        full[0, 0], part[0] = np.arange(n), 1.0
+        out = _measure_rows(full, np.exp(full), part, np.exp(part))
+        rho, tau = square_rank_columns(full, part)
+        assert out[..., 4].tobytes() == rho.tobytes()
+        assert out[..., 5].tobytes() == tau.tobytes()
+        assert not out[0, :, 5].any() and not np.signbit(out[0, :, 5]).any()
+
+
 class TestErrorBound:
     def test_reference_value(self):
         assert error_bound(10**6, 0.01, 1.0) == pytest.approx(0.00258, abs=1e-5)
