@@ -18,12 +18,20 @@ each of n = 4, 5 and 6, in a fresh process each: the incomplete catalog
 structures in turn, integer weights 1..9 and each known ratio w_i / w_j
 times exp(U(-EM_NOISE, EM_NOISE)), drawn from seed 1.  It reports the
 median wall time of one call and how many calls took each number of
-Newton steps of the eigenvalue-minimal completion.  The result is written
-as JSON to BENCH_scale.json at the repository root.
+Newton steps of the eigenvalue-minimal completion.
 
-Not part of the test suite: the default run takes about four and a half
-minutes on one core (the committed BENCH_scale.json sums to 4.3 minutes,
-fifth-size runs included, on a 2-core Xeon).
+The startup section times cold starts: for each of STARTUP_COMMANDS, the
+median wall time of STARTUP_PROCESSES fresh processes, after one untimed
+one, and whether scipy was loaded when it ended.  Each process imports
+``paircomp.cli`` and runs ``main`` on the command's arguments, as the
+console script does, on inputs written to a temporary directory: a 5-item
+partial matrix and a seeded 6-item league.  No bytecode is written when
+PYTHONDONTWRITEBYTECODE is set, and each process then compiles the package.
+
+The result is written as JSON to BENCH_scale.json at the repository root.
+Not part of the test suite: the default run takes about five minutes on
+one core (the committed BENCH_scale.json sums to 4.9 minutes, fifth-size
+runs included, on a 2-core Xeon; the startup section adds about 10 s).
 """
 
 from __future__ import annotations
@@ -34,8 +42,10 @@ import math
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,6 +53,23 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = [(n, model) for n in (4, 5, 6) for model in ("logistic", "normal")]
 PERTURB, SEED = 0.15, 1
 EM_NS, EM_MATRICES, EM_NOISE = (4, 5, 6), 2000, 0.3
+STARTUP_PROCESSES = 7
+#: Label -> arguments of ``paircomp.cli.main`` (None: the import alone);
+#: {pcm} and {league} name the generated inputs.
+STARTUP_COMMANDS = {
+    "import paircomp.cli": None,
+    "rank --format pcm --method em": ["rank", "--input", "{pcm}", "--format", "pcm",
+                                      "--method", "em"],
+    "rank --method bt": ["rank", "--input", "{league}", "--method", "bt"],
+    "graphs enumerate --n 6": ["graphs", "enumerate", "--n", "6"],
+}
+# Writes the CLI's output to stdout and, last on stderr, whether scipy was loaded.
+_STARTUP_PROBE = """import sys
+import paircomp.cli
+code = paircomp.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("scipy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def measure(n: int, model: str, sims: int) -> dict:
@@ -118,6 +145,50 @@ def measure_em(n: int, count: int) -> dict:
     }
 
 
+def startup_inputs(directory: Path) -> dict:
+    """The startup section's inputs, written to ``directory`` in the CLI's
+    formats: a partial 5-item ratio matrix (a 5-cycle and one chord) and a
+    6-item league of counts."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    w = rng.integers(1, 10, size=5)
+    rows = [["1" if i == j else "*" for j in range(5)] for i in range(5)]
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]:
+        ratio = w[i] / w[j] * math.exp(rng.uniform(-EM_NOISE, EM_NOISE))
+        rows[i][j], rows[j][i] = f"{ratio:.17g}", f"{1.0 / ratio:.17g}"
+    league = ["i,j,worse,better"] + [
+        f"{i + 1},{j + 1},{rng.integers(1, 10)},{rng.integers(1, 10)}"
+        for i in range(6) for j in range(i + 1, 6) if j == i + 1 or rng.random() < 0.5
+    ]
+    paths = {"pcm": directory / "partial5.pcm", "league": directory / "league6.csv"}
+    paths["pcm"].write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    paths["league"].write_text("\n".join(league) + "\n", encoding="utf-8")
+    return {key: str(path) for key, path in paths.items()}
+
+
+def measure_startup(env: dict) -> list[dict]:
+    """The startup section: cold processes of each of STARTUP_COMMANDS."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = startup_inputs(Path(tmp))
+        for label, argv in STARTUP_COMMANDS.items():
+            command = [sys.executable, "-c", _STARTUP_PROBE,
+                       *(arg.format(**inputs) for arg in argv or ())]
+            walls = []
+            for _ in range(1 + STARTUP_PROCESSES):  # the first is untimed
+                start = time.perf_counter()
+                result = subprocess.run(command, env=env, capture_output=True, text=True,
+                                        check=True)
+                walls.append(time.perf_counter() - start)
+            runs.append({
+                "command": label,
+                "wall_s_p50": round(statistics.median(walls[1:]), 3),
+                "scipy_loaded": result.stderr.split()[-1] == "True",
+            })
+    return runs
+
+
 def cpu_name() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -128,12 +199,17 @@ def cpu_name() -> str:
     return platform.machine()
 
 
-def fresh_process(n: int, model: str, sims: int) -> dict:
+def child_env() -> dict:
+    """This environment, on one worker, with the package importable from src/."""
     env = dict(os.environ, PAIRCOMP_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_process(n: int, model: str, sims: int) -> dict:
     result = subprocess.run(
         [sys.executable, __file__, "--child", str(n), model, str(sims)],
-        env=env, capture_output=True, text=True, check=True,
+        env=child_env(), capture_output=True, text=True, check=True,
     )
     return json.loads(result.stdout)
 
@@ -170,6 +246,10 @@ def main(argv=None) -> int:
         em_runs.append(fresh_process(n, "em", EM_MATRICES))
         print(f"em n={n}: {em_runs[-1]['call_us_p50']} us/call, Newton steps "
               f"{em_runs[-1]['newton_steps']}", file=sys.stderr)
+    startup = measure_startup(child_env())
+    for record in startup:
+        print(f"startup {record['command']}: {record['wall_s_p50']} s, scipy "
+              f"{'loaded' if record['scipy_loaded'] else 'not loaded'}", file=sys.stderr)
     payload = {
         "command": f"python3 scripts/scale.py --sims {args.sims}",
         "settings": {"perturb": PERTURB, "seed": SEED, "workers": 1},
@@ -182,6 +262,7 @@ def main(argv=None) -> int:
         },
         "runs": runs,
         "em": {"settings": {"noise": EM_NOISE, "seed": SEED}, "runs": em_runs},
+        "startup": {"settings": {"processes": STARTUP_PROCESSES}, "runs": startup},
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 0

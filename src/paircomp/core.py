@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import expit, log_expit, log_ndtr, logit, ndtr, ndtri
 
 from .errors import DisconnectedGraph
 
@@ -34,8 +33,19 @@ RECIPROCITY_TOL = 1e-12
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on first use: its import takes longer than
+    the rest of the package's, and ``em``, ``llsm``, the consistency checks
+    and the structure catalog never evaluate a link."""
+    import scipy.special
+
+    return scipy.special
+
+
 def _logistic_terms(delta, d1, d2, searched):
     """The logistic's pair terms (see :class:`ModelKind`): -(ln F)'' is p(1 - p)."""
+    expit, log_expit = _special().expit, _special().log_expit
     log_pos, log_neg = log_expit(delta[searched]), log_expit(-delta[searched])
     s_pos, s_neg = expit(-delta), expit(delta)
     return log_pos, log_neg, d2 * s_pos - d1 * s_neg, (d1 + d2) * s_pos * s_neg
@@ -45,6 +55,7 @@ def _normal_terms(delta, d1, d2, searched):
     """The normal's pair terms: ln Phi(+-delta) give the log-likelihood and
     the Mills ratios s = phi / Phi at +-delta, stable for very negative delta
     (ln phi is the same at both), and -(ln F)'' is s(delta + s)."""
+    log_ndtr = _special().log_ndtr
     log_pos, log_neg = log_ndtr(delta), log_ndtr(-delta)
     log_phi = -0.5 * delta * delta - _LOG_SQRT_2PI
     s_pos, s_neg = np.exp(log_phi - log_pos), np.exp(log_phi - log_neg)
@@ -64,16 +75,22 @@ class ModelKind(enum.Enum):
     so that the reduced Laplacian it weights is definite on connected graphs.
     The normal curvature loses accuracy as delta^2 grows, as its slope does (see
     ``log_likelihood_gradient``): with d1 = d2 = 1, relative 1.7e-9 at |delta|
-    = 100, 1e-5 at 1e3, 0.61 at 1e4; wrong beyond, at times negative from 5e8."""
+    = 100, 1e-5 at 1e3, 0.61 at 1e4; wrong beyond, at times negative from 5e8.
 
-    LOGISTIC = "logistic", expit, log_expit, logit, _logistic_terms
-    NORMAL = "normal", ndtr, log_ndtr, ndtri, _normal_terms
+    The links are scipy.special's ufuncs, looked up by name when read, so
+    that scipy.special is loaded on first use of a link, not on import."""
 
-    def __new__(cls, value, cdf, log_cdf, inverse_cdf, pair_terms):
+    LOGISTIC = "logistic", ("expit", "log_expit", "logit"), _logistic_terms
+    NORMAL = "normal", ("ndtr", "log_ndtr", "ndtri"), _normal_terms
+
+    def __new__(cls, value, links, pair_terms):
         member = object.__new__(cls)
-        member._value_, member.cdf, member.log_cdf = value, cdf, log_cdf
-        member.inverse_cdf, member.pair_terms = inverse_cdf, pair_terms
+        member._value_, member._links, member.pair_terms = value, links, pair_terms
         return member
+
+    cdf = property(lambda self: getattr(_special(), self._links[0]))
+    log_cdf = property(lambda self: getattr(_special(), self._links[1]))
+    inverse_cdf = property(lambda self: getattr(_special(), self._links[2]))
 
 
 @functools.lru_cache(maxsize=8)  # bounded, as files may give any n

@@ -24,14 +24,12 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, repeat
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import DataMatrix, ExpectedValueVector, ModelKind, WeightVector, pair_order
 from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows, _softmax_rows
@@ -286,7 +284,8 @@ def error_bound(num_sims: int, alpha: float, sigma: float) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    return float(ndtri(1.0 - alpha / 2.0)) * sigma / math.sqrt(num_sims)
+    u_alpha = float(ModelKind.NORMAL.inverse_cdf(1.0 - alpha / 2.0))
+    return u_alpha * sigma / math.sqrt(num_sims)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +601,11 @@ def run(
 
     zero = np.zeros((len(classes), len(MEASURE_NAMES)))
     moments = (zero.astype(int), zero, zero)
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # the import loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers)
     with pool or contextlib.nullcontext():
         blocks = (pool.map if pool else map)(_solve_block, repeat(config), *zip(*bounds))
         for (block, failed), (_, stop) in zip(blocks, bounds):

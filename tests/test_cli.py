@@ -329,6 +329,50 @@ def _without_data(results_file, tmp_path) -> Path:
     return emptied
 
 
+# Runs each argv of a JSON list through cli.main in one fresh process and
+# prints, after the import and after each command, the exit code and which of
+# the lazily imported modules are loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import paircomp.cli as cli
+
+def loaded():
+    return [m for m in ("scipy", "scipy.special", "multiprocessing") if m in sys.modules]
+
+seen = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def _probe_imports(*commands):
+    result = run_cli_subprocess("-c", _IMPORT_PROBE, json.dumps(commands), threads=1)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_only_commands_that_evaluate_a_link_import_scipy(tmp_path, pairs_file, results_file):
+    # scipy.special is most of a cold start, and only the likelihood links
+    # use it; a process pool's multiprocessing only a run of many workers.
+    pcm = tmp_path / "partial.pcm"
+    pcm.write_text(PARTIAL_PCM, encoding="utf-8")
+    commands = [
+        ["graphs", "enumerate", "--n", "4"],
+        ["rank", "--input", str(pcm), "--format", "pcm", "--method", "em"],
+        ["rank", "--input", str(pcm), "--format", "pcm", "--method", "llsm"],
+        ["consistency", "--input", pairs_file],
+        ["report", "--results", results_file, "--figure", "averages-by-edges"],
+        ["rank", "--input", pairs_file, "--method", "bt"],
+    ]
+    seen = _probe_imports(*commands)
+    assert seen == [[None, []], *[[0, []]] * 5, [0, ["scipy", "scipy.special"]]]
+    simulate = ["simulate", "--n", "4", "--perturb", "0.15", "--sims", "8", "--seed", "1",
+                "--out", str(tmp_path / "results.csv")]
+    assert _probe_imports(simulate) == [[None, []], [0, ["scipy", "scipy.special"]]]
+
+
 class TestSimulateAndReport:
     def test_results_schema(self, results_file):
         rows = read_results(results_file)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -44,7 +45,7 @@ from paircomp.estimators import (
     _newton_rows,
     _pair_data,
 )
-from paircomp.simulation import SimulationConfig, _draw_rows, _structure_mask
+from paircomp.simulation import SimulationConfig, _draw_rows, _structure_mask, error_bound
 from tests.conftest import GOLDEN_TOL, random_connected_graph, random_merits
 
 LOGISTIC = ModelKind.LOGISTIC
@@ -1160,6 +1161,31 @@ class TestLinks:
         shown = cdf > 1e-300
         assert shown.sum() > 700
         assert_allclose(model.log_cdf(x[shown]), np.log(cdf[shown]), rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_links_are_scipy_special_bit_for_bit(self, model):
+        # The links are loaded on first use; they must be scipy's own ufuncs.
+        import scipy.special
+
+        names = {ModelKind.LOGISTIC: ("expit", "log_expit", "logit"),
+                 ModelKind.NORMAL: ("ndtr", "log_ndtr", "ndtri")}[model]
+        cdf, log_cdf, inverse_cdf = (getattr(scipy.special, name) for name in names)
+        x = np.linspace(-40.0, 40.0, 8001)
+        tail = np.logspace(-300, math.log10(0.5), 3001)
+        p = np.concatenate([tail, 0.5 + tail[:-1], 1.0 - tail])
+        for link, reference, grid in ((model.cdf, cdf, x), (model.log_cdf, log_cdf, x),
+                                      (model.inverse_cdf, inverse_cdf, p)):
+            assert link is reference
+            assert np.array_equal(link(grid).view(np.int64), reference(grid).view(np.int64))
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_a_pickled_member_is_the_same_member(self, model):
+        assert pickle.loads(pickle.dumps(model)) is model
+
+    def test_error_bound_takes_the_normal_quantile_exactly(self):
+        import scipy.special
+
+        assert error_bound(10**6, 0.01, 1.0) == scipy.special.ndtri(0.995) / 1000
 
 
 class TestTransforms:

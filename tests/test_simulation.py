@@ -663,17 +663,6 @@ class TestBatchSolver:
         assert _block_bounds(64, 6) == [(0, 64)]
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    env = dict(os.environ)
-    package_root = str(Path(paircomp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    probe = "import sys, paircomp.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.strip() == "False"
-
-
 class TestRun:
     def test_unperturbed_data_is_fully_recovered(self):
         # Seed chosen so no replication draws tied weights: exact ties make
@@ -869,7 +858,10 @@ class TestRun:
     def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
         # A process pool starts all its workers at the first task, so a run
         # of two blocks must ask for two whatever PAIRCOMP_THREADS says.  The
-        # recording pool runs the blocks in this process.
+        # recording pool runs the blocks in this process; ``run`` imports the
+        # pool class from concurrent.futures only when it needs one.
+        import concurrent.futures
+
         import paircomp.simulation as sim
 
         opened = []
@@ -887,7 +879,7 @@ class TestRun:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sim, "BATCH_ROWS", 50)  # blocks of 8 replications at n = 4
         config = SimulationConfig(n=4, perturb=0.1, num_sims=12, seed=5)
         monkeypatch.setenv("PAIRCOMP_THREADS", "1")
