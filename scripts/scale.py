@@ -5,33 +5,36 @@ single-call latency and Newton steps of em on partial matrices.
     python3 scripts/scale.py                # 10^5 replications per configuration
     python3 scripts/scale.py --sims 1000000 # the paper's scale
 
-Each configuration runs ``paircomp.run`` in a fresh process on one worker
-(PAIRCOMP_THREADS=1), in blocks of BATCH_ROWS // classes replications, at
-perturbation 0.15 and seed 1.  Peak memory is that process's
-maximum resident set size.  A second fresh process makes a fifth of the
-replications, so the file shows whether peak memory grows with the
-replication count.  Iterations are the Newton steps of every
-(replication, structure) row, complete structure included.
+Each configuration runs ``paircomp.run`` in REPEATS fresh processes on one
+worker (PAIRCOMP_THREADS=1), in blocks of BATCH_ROWS // classes
+replications, at perturbation 0.15 and seed 1; its row gives the median of
+their wall times and peak memory (each process's maximum resident set size),
+and lists every process's time per replication.  REPEATS more fresh
+processes make a fifth of the replications, so the file shows whether peak
+memory grows with the replication count.  Iterations are the Newton steps of
+every (replication, structure) row, complete structure included; they are
+the same in every process.
 
 The em section times ``paircomp.em`` on EM_MATRICES partial matrices for
-each of n = 4, 5 and 6, in a fresh process each: the incomplete catalog
-structures in turn, integer weights 1..9 and each known ratio w_i / w_j
-times exp(U(-EM_NOISE, EM_NOISE)), drawn from seed 1.  It reports the
-median wall time of one call and how many calls took each number of
-Newton steps of the eigenvalue-minimal completion.
+each of n = 4, 5 and 6, in REPEATS fresh processes each: the incomplete
+catalog structures in turn, integer weights 1..9 and each known ratio
+w_i / w_j times exp(U(-EM_NOISE, EM_NOISE)), drawn from seed 1.  It reports
+the median over the processes of each one's median wall time of a call, and
+how many calls took each number of Newton steps of the eigenvalue-minimal
+completion.
 
 The startup section times cold starts: for each of STARTUP_COMMANDS, the
-median wall time of STARTUP_PROCESSES fresh processes, after one untimed
-one, and whether scipy was loaded when it ended.  Each process imports
-``paircomp.cli`` and runs ``main`` on the command's arguments, as the
-console script does, on inputs written to a temporary directory: a 5-item
-partial matrix and a seeded 6-item league.  No bytecode is written when
+median wall time and peak memory of STARTUP_PROCESSES fresh processes,
+after one untimed one, and whether scipy was loaded when it ended.  Each
+process imports ``paircomp.cli`` and runs ``main`` on the command's
+arguments, as the console script does, on inputs written to a temporary
+directory: a 5-item partial matrix, a seeded 6-item league and a seeded
+1,000-item league (:func:`league_csv`).  No bytecode is written when
 PYTHONDONTWRITEBYTECODE is set, and each process then compiles the package.
 
 The result is written as JSON to BENCH_scale.json at the repository root.
-Not part of the test suite: the default run takes about five minutes on
-one core (the committed BENCH_scale.json sums to 4.9 minutes, fifth-size
-runs included, on a 2-core Xeon; the startup section adds about 10 s).
+Not part of the test suite: the default run takes about a quarter of an
+hour on one core.
 """
 
 from __future__ import annotations
@@ -54,20 +57,24 @@ CONFIGS = [(n, model) for n in (4, 5, 6) for model in ("logistic", "normal")]
 PERTURB, SEED = 0.15, 1
 EM_NS, EM_MATRICES, EM_NOISE = (4, 5, 6), 2000, 0.3
 STARTUP_PROCESSES = 7
+#: Fresh processes per simulate and em row; the row is their median.
+REPEATS = 3
 #: Label -> arguments of ``paircomp.cli.main`` (None: the import alone);
-#: {pcm} and {league} name the generated inputs.
+#: {pcm}, {league} and {league1000} name the generated inputs.
 STARTUP_COMMANDS = {
     "import paircomp.cli": None,
     "rank --format pcm --method em": ["rank", "--input", "{pcm}", "--format", "pcm",
                                       "--method", "em"],
     "rank --method bt": ["rank", "--input", "{league}", "--method", "bt"],
     "graphs enumerate --n 6": ["graphs", "enumerate", "--n", "6"],
+    "rank --method llsm, 1,000 items": ["rank", "--input", "{league1000}", "--method", "llsm"],
 }
-# Writes the CLI's output to stdout and, last on stderr, whether scipy was loaded.
-_STARTUP_PROBE = """import sys
+# Writes the CLI's output to stdout and, last on stderr, whether scipy was
+# loaded and the peak resident set size in KiB.
+_STARTUP_PROBE = """import resource, sys
 import paircomp.cli
 code = paircomp.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print("scipy" in sys.modules, file=sys.stderr)
+print("scipy" in sys.modules, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -145,10 +152,24 @@ def measure_em(n: int, count: int) -> dict:
     }
 
 
+def league_csv(n: int, seed: int) -> str:
+    """A league of n items in the CLI's pairs format: pairs (i, i + 1) and
+    each other pair with probability 4 / n, each with two amounts from 1 to
+    9, drawn from ``default_rng(seed)``."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if j == i + 1 or rng.random() < 4 / n]
+    rows = [f"{i + 1},{j + 1},{a},{b}" for i, j in pairs for a, b in [rng.integers(1, 10, 2)]]
+    return "\n".join(["i,j,worse,better", *rows]) + "\n"
+
+
 def startup_inputs(directory: Path) -> dict:
     """The startup section's inputs, written to ``directory`` in the CLI's
-    formats: a partial 5-item ratio matrix (a 5-cycle and one chord) and a
-    6-item league of counts."""
+    formats: a partial 5-item ratio matrix (a 5-cycle and one chord), a
+    6-item league of counts and :func:`league_csv` of 1,000 items, seed
+    1000."""
     import numpy as np
 
     rng = np.random.default_rng(SEED)
@@ -161,9 +182,11 @@ def startup_inputs(directory: Path) -> dict:
         f"{i + 1},{j + 1},{rng.integers(1, 10)},{rng.integers(1, 10)}"
         for i in range(6) for j in range(i + 1, 6) if j == i + 1 or rng.random() < 0.5
     ]
-    paths = {"pcm": directory / "partial5.pcm", "league": directory / "league6.csv"}
+    paths = {"pcm": directory / "partial5.pcm", "league": directory / "league6.csv",
+             "league1000": directory / "league1000.csv"}
     paths["pcm"].write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     paths["league"].write_text("\n".join(league) + "\n", encoding="utf-8")
+    paths["league1000"].write_text(league_csv(1000, 1000), encoding="utf-8")
     return {key: str(path) for key, path in paths.items()}
 
 
@@ -175,16 +198,19 @@ def measure_startup(env: dict) -> list[dict]:
         for label, argv in STARTUP_COMMANDS.items():
             command = [sys.executable, "-c", _STARTUP_PROBE,
                        *(arg.format(**inputs) for arg in argv or ())]
-            walls = []
+            walls, peaks = [], []
             for _ in range(1 + STARTUP_PROCESSES):  # the first is untimed
                 start = time.perf_counter()
                 result = subprocess.run(command, env=env, capture_output=True, text=True,
                                         check=True)
                 walls.append(time.perf_counter() - start)
+                scipy_loaded, peak_kib = result.stderr.split()[-2:]
+                peaks.append(int(peak_kib) / 1024)
             runs.append({
                 "command": label,
                 "wall_s_p50": round(statistics.median(walls[1:]), 3),
-                "scipy_loaded": result.stderr.split()[-1] == "True",
+                "peak_rss_mib_p50": round(statistics.median(peaks[1:]), 1),
+                "scipy_loaded": scipy_loaded == "True",
             })
     return runs
 
@@ -214,6 +240,27 @@ def fresh_process(n: int, model: str, sims: int) -> dict:
     return json.loads(result.stdout)
 
 
+#: The fields of a row that vary between processes: a row gives their medians.
+TIMED = ("wall_s", "ms_per_rep", "peak_rss_mib", "call_us_p50")
+
+
+def median_row(n: int, model: str, sims: int) -> dict:
+    """The row of REPEATS fresh processes, whose counts must agree: their
+    record with each timed field replaced by the median over all of them;
+    ``runs_ms`` or ``runs_us`` lists every process's time."""
+    records = [fresh_process(n, model, sims) for _ in range(REPEATS)]
+    counts = [{key: value for key, value in r.items() if key not in TIMED} for r in records]
+    if any(c != counts[0] for c in counts):
+        raise RuntimeError(f"fresh processes of n={n} {model} disagree: {counts}")
+    row = dict(records[0])
+    for key in TIMED:
+        if key in row:
+            row[key] = round(statistics.median(r[key] for r in records), 4)
+    per_process = "call_us_p50" if model == "em" else "ms_per_rep"
+    row["runs_us" if model == "em" else "runs_ms"] = [r[per_process] for r in records]
+    return row
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sims", type=int, default=100_000)
@@ -234,8 +281,8 @@ def main(argv=None) -> int:
 
     runs = []
     for n, model in CONFIGS:
-        record = fresh_process(n, model, args.sims)
-        probe = fresh_process(n, model, args.sims // 5)
+        record = median_row(n, model, args.sims)
+        probe = median_row(n, model, args.sims // 5)
         record["fifth"] = {key: probe[key] for key in ("sims", "ms_per_rep", "peak_rss_mib")}
         runs.append(record)
         print(f"n={n} {model}: {record['ms_per_rep']} ms/rep, peak {record['peak_rss_mib']} MiB "
@@ -243,16 +290,17 @@ def main(argv=None) -> int:
               f"{record['iterations']['p50']} max {record['iterations']['max']}", file=sys.stderr)
     em_runs = []
     for n in EM_NS:
-        em_runs.append(fresh_process(n, "em", EM_MATRICES))
+        em_runs.append(median_row(n, "em", EM_MATRICES))
         print(f"em n={n}: {em_runs[-1]['call_us_p50']} us/call, Newton steps "
               f"{em_runs[-1]['newton_steps']}", file=sys.stderr)
     startup = measure_startup(child_env())
     for record in startup:
-        print(f"startup {record['command']}: {record['wall_s_p50']} s, scipy "
+        print(f"startup {record['command']}: {record['wall_s_p50']} s, "
+              f"peak {record['peak_rss_mib_p50']} MiB, scipy "
               f"{'loaded' if record['scipy_loaded'] else 'not loaded'}", file=sys.stderr)
     payload = {
         "command": f"python3 scripts/scale.py --sims {args.sims}",
-        "settings": {"perturb": PERTURB, "seed": SEED, "workers": 1},
+        "settings": {"perturb": PERTURB, "seed": SEED, "workers": 1, "processes": REPEATS},
         "environment": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .estimators import bt_mle, em, llsm, weights_from_m
 from .graphs import MAX_CATALOG_N, enumerate_connected
-from .simulation import DEFAULT_EPSILON, SimulationConfig, _pair_signs, _sign_sums, run
+from .simulation import DEFAULT_EPSILON, SimulationConfig, run
 
 
 #: Likelihood method of ``rank`` -> its model; the other methods read ratios.
@@ -36,8 +36,9 @@ _LIKELIHOOD_METHODS = {"bt": ModelKind.LOGISTIC, "thurstone": ModelKind.NORMAL}
 
 
 def _ranks_descending(weights: np.ndarray) -> np.ndarray:
-    """Rank 1 = largest weight; ties share the average rank."""
-    return 0.5 * (len(weights) + 1 - _sign_sums(_pair_signs(weights), len(weights)))
+    """Rank 1 = largest weight; ties share the average rank: half of n + 1
+    minus the sum of sign(w_i - w_j) over j.  It holds n x n values."""
+    return 0.5 * (len(weights) + 1 - np.sign(weights[:, None] - weights).sum(axis=1))
 
 
 def _write_output(text: str, out: str | None) -> None:

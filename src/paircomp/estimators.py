@@ -135,33 +135,38 @@ class _Incidence:
     Bins are laid out row by row, so fewer rows use a prefix of them.  Each
     vertex adds its terms in lexicographic pair order, whatever the number
     of rows.
+
+    A dense +-1 map of the pairs serves both :meth:`differences` and
+    :meth:`integer_sums`.  It exists only when it is no larger than the
+    rows it serves (``rows`` >= n - 1); otherwise a gather or
+    :func:`numpy.bincount` does its work.
     """
 
     def __init__(self, ii, jj, n, rows):
-        self.ii, self.jj, self.n = ii, jj, n
-        self._vertex_bins = (np.arange(rows)[:, None] * n + np.concatenate([jj, ii])).ravel()
-        # x @ P gives the differences: column s of P holds +1 at ii[s] and -1
-        # at jj[s] (none at vertex 1), so each sum has at most two nonzero
-        # terms and is exact in any order.  At simulate's shapes (n <= 6) it
-        # is two to seven times as fast as the gather.  P has (n - 1) k
-        # entries, as many as the differences of n - 1 rows; a batch of fewer
-        # rows (a one-row fit of more than two items) gathers instead, so the
-        # map is never larger than one array it returns: for a one-row fit of
-        # 600 items it would take 860 MB.
-        self._difference_map = None
+        self.ii, self.jj, self.n, self._rows = ii, jj, n, rows
+        # The dense map P: +1 at (ii[s], s), -1 at (jj[s], s).  Each sum of
+        # x @ P[1:], the differences, has at most two nonzero terms and is
+        # exact in any order; at simulate's shapes (n <= 6) it is two to seven
+        # times as fast as the gather.  Fewer than n - 1 rows (a one-row fit
+        # of more than two items) gather and scatter instead: for a one-row
+        # fit of 600 items the map would take 860 MB.
+        self._signs = None
         if n - 1 <= rows:
-            signs = np.zeros((n, len(ii)))
+            self._signs = np.zeros((n, len(ii)))
             columns = np.arange(len(ii))
-            signs[ii, columns] = 1.0
-            signs[jj, columns] = -1.0
-            self._difference_map = signs[1:]
+            self._signs[ii, columns] = 1.0
+            self._signs[jj, columns] = -1.0
 
     def differences(self, x):
         """m_i - m_j of every pair, one row per row of x = m[:, 1:]."""
-        if self._difference_map is not None:
-            return x @ self._difference_map
+        if self._signs is not None:
+            return x @ self._signs[1:]
         m = np.concatenate([np.zeros((len(x), 1)), x], axis=1)
         return m[:, self.ii] - m[:, self.jj]
+
+    @functools.cached_property
+    def _vertex_bins(self):
+        return (np.arange(self._rows)[:, None] * self.n + np.concatenate([self.jj, self.ii])).ravel()
 
     def vertex_sums(self, values):
         """Row-wise vertex sums, shape (rows, n): values[:, s] goes to vertex
@@ -170,6 +175,13 @@ class _Incidence:
         terms = np.concatenate([-values, values], axis=1).ravel()
         sums = np.bincount(self._vertex_bins[: terms.size], terms, rows * self.n)
         return sums.reshape(rows, self.n)
+
+    def integer_sums(self, values):
+        """:meth:`vertex_sums` of small integers, exact in any order: by the
+        dense map where there is one, copied into rows (BLAS's faster layout)."""
+        if self._signs is None:
+            return self.vertex_sums(values)
+        return values @ np.ascontiguousarray(self._signs.T)
 
     def laplacian(self, weights):
         """Graph Laplacians weighting pair s by weights[:, s], shape (rows, n, n)."""

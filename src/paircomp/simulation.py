@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .core import DataMatrix, ExpectedValueVector, ModelKind, WeightVector, pair_order
-from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _newton_rows, _softmax_rows
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_MLE_TOL, _Incidence, _newton_rows, _softmax_rows
 from .graphs import MAX_CATALOG_N, GraphClass, enumerate_connected, is_ascii_digits
 
 #: Measure column names, in canonical order.
@@ -209,32 +209,13 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(product > 0.0, r, np.nan)
 
 
-@lru_cache(maxsize=8)
-def _pair_plan(n: int):
-    """The pairs (ii, jj) of :func:`pair_order` and the matrix of their
-    vertex sums, shape (k, n): +1 at (s, ii[s]) and -1 at (s, jj[s])."""
-    ii, jj = np.array(pair_order(n), dtype=np.intp).reshape(-1, 2).T
-    sums = np.zeros((len(ii), n))
-    sums[range(len(ii)), ii], sums[range(len(ii)), jj] = 1.0, -1.0
-    for a in (ii, jj, sums):
-        a.flags.writeable = False
-    return ii, jj, sums
-
-
-def _pair_signs(x: np.ndarray) -> np.ndarray:
-    """sign(x_i - x_j) over the pairs i < j of the last axis, in
-    :func:`pair_order`, shape (..., k)."""
-    ii, jj, _ = _pair_plan(x.shape[-1])
-    return np.sign(x[..., ii] - x[..., jj])
-
-
-def _sign_sums(signs: np.ndarray, n: int) -> np.ndarray:
-    """Vertex sums of pair values over the last axis, shape (..., n): pair
-    (i, j) adds its value to i and subtracts it from j.  Of pair signs they
-    give average ranks: x_i ranks (n + 1)/2 + sum_j sign(x_i - x_j)/2.
-    Sums of small integers are exact, whatever their order."""
+def _sign_sums(signs: np.ndarray, ii, jj, n: int) -> np.ndarray:
+    """Vertex sums of pair values over the last axis, shape (..., n): pair s
+    adds its value to ii[s] and subtracts it from jj[s].  Of pair signs they
+    give average ranks: x_i ranks (n + 1)/2 + sum_j sign(x_i - x_j)/2."""
     *lead, k = signs.shape
-    return (signs.reshape(math.prod(lead), k) @ _pair_plan(n)[2]).reshape(*lead, n)
+    rows = math.prod(lead)
+    return _Incidence(ii, jj, n, rows).integer_sums(signs.reshape(rows, k)).reshape(*lead, n)
 
 
 def _measure_rows(
@@ -247,9 +228,11 @@ def _measure_rows(
     weight transform is strictly monotone, so weight ranks are identical.
     """
     n = m_full.shape[-1]
-    s_full, s_part = _pair_signs(m_full), _pair_signs(m_part)
+    ii, jj = np.array(pair_order(n), dtype=np.intp).reshape(-1, 2).T
+    s_full = np.sign(m_full[..., ii] - m_full[..., jj])
+    s_part = np.sign(m_part[..., ii] - m_part[..., jj])
     # Spearman from average ranks; Kendall from sign agreement, ties scoring 0.
-    rank_gap = 0.5 * _sign_sums(s_full - s_part, n)
+    rank_gap = 0.5 * _sign_sums(s_full - s_part, ii, jj, n)
     columns = (
         np.sqrt(np.sum((m_full - m_part) ** 2, axis=-1)),
         np.sqrt(np.sum((w_full - w_part) ** 2, axis=-1)),

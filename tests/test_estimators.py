@@ -696,6 +696,25 @@ class TestNewtonKernel:
             assert m[r].tobytes() == alone[0][0].tobytes()
             assert iterations[r] == alone[1][0] and converged[r] == alone[2][0]
 
+    def test_a_real_input_meets_a_singular_newton_system(self, monkeypatch):
+        # A subnormal win passes the Ford test, but the optimum lies about
+        # 710 units out: the logistic curvature underflows to 0.0 on the way,
+        # and the solve of that step returns a direction that is not finite.
+        data = DataMatrix(2, {(0, 1): (1e-310, 1.0)})
+        finite, solve = [], _Incidence.solve
+
+        def recorded(*args):
+            x = solve(*args)
+            finite.append(bool(np.isfinite(x).all()))
+            return x
+
+        monkeypatch.setattr(_Incidence, "solve", recorded)
+        assert ford_condition(data)
+        with pytest.raises(NoConvergence) as caught:
+            bt_mle(data, LOGISTIC)
+        assert 0 < caught.value.iterations < DEFAULT_MAX_ITER
+        assert finite[-1] is False and all(finite[:-1])
+
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     def test_rows_without_a_maximum_are_reported_at_their_start(self, model, monkeypatch):
         # Pairs (0, 3), (1, 2), (1, 3), (2, 3).  Row 0: item 0's only pair is

@@ -525,6 +525,38 @@ class TestRankColumnsFromPairSigns:
         assert out[..., 5].tobytes() == tau.tobytes()
         assert not out[0, :, 5].any() and not np.signbit(out[0, :, 5]).any()
 
+    def test_three_hundred_items_rank_in_little_memory(self):
+        # A k x n matrix of the 44,850 pairs of 300 items takes 108 MB; the
+        # ranks of one vector and one similarity need no such matrix.  Rounded
+        # draws give ties.
+        import tracemalloc
+
+        from paircomp.cli import _ranks_descending
+
+        n = 300
+        rng = np.random.default_rng(300)
+        weights = rng.integers(1, 40, n) / 40.0
+        m_full, m_part = (ExpectedValueVector.gauged(np.round(rng.normal(size=n), 1))
+                          for _ in range(2))
+        w_full, w_part = weights_from_m(m_full), weights_from_m(m_part)
+        tracemalloc.start()
+        try:
+            ranks = _ranks_descending(weights)
+            ranks_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            measures = similarity(m_full, w_full, m_part, w_part)
+            similarity_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ranks_peak < 10 * 2**20 and similarity_peak < 10 * 2**20
+
+        signs = np.sign(weights[:, None] - weights[None, :])
+        assert ranks.tobytes() == (0.5 * (n + 1 - signs.sum(axis=1))).tobytes()
+        assert np.array_equal(ranks, n + 1 - rankdata(weights))
+        rho, tau = square_rank_columns(m_full.values, m_part.values)
+        assert np.float64(measures.spearman_rho).tobytes() == rho.tobytes()
+        assert np.float64(measures.kendall_tau).tobytes() == tau.tobytes()
+
 
 class TestErrorBound:
     def test_reference_value(self):
