@@ -60,7 +60,6 @@ from .core import (
     pair_order,
 )
 from .errors import DisconnectedGraph, FordViolation, NoConvergence
-from .graphs import MAX_CATALOG_N
 
 #: Bound on a maximum likelihood fit's distance ||m - m*||_inf to the optimum.
 DEFAULT_MLE_TOL = 1e-10
@@ -249,10 +248,10 @@ class _Incidence:
         return x, np.flatnonzero(~ok)
 
 
-#: Most items whose systems :meth:`_Incidence.solve` factors itself, the
-#: catalog's largest n, so no batch of simulate's reaches LAPACK.  On one
+#: Most items whose systems :meth:`_Incidence.solve` factors itself, at least
+#: the catalog's largest n, so no batch of simulate's reaches LAPACK.  On one
 #: row the recurrence takes 0.95 times LAPACK's time at n = 7, 1.06 at n = 8.
-_CHOLESKY_MAX_N = MAX_CATALOG_N
+_CHOLESKY_MAX_N = 6
 #: Most rows :meth:`_Incidence._cholesky` factors one by one on floats: the
 #: array path, whose cost is mostly per operation, is as fast at 24 rows
 #: for n = 3 and 4 and at 28 for n = 5 and 6.
@@ -389,9 +388,9 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     Ford condition :func:`bt_mle` checks; each row with a one-sided pair
     (one amount zero) is tested, and one that fails is reported
     unconverged after 0 iterations, at its start.  The other rows must be
-    connected.  A row also ends unconverged after ``max_iter`` steps, or on
-    the first step whose Newton system is singular (its curvatures
-    underflow), where it stops.
+    connected.  A row also ends unconverged after ``max_iter`` steps, or
+    where it is on a step whose Newton system is singular (its curvatures
+    underflow) or whose 60 line-search trials find no strict ascent.
 
     Each row starts from :func:`_least_squares_start`, on consistent data
     the optimum itself (see the module docstring).  The negative Hessian is
@@ -437,8 +436,8 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
     for step in range(1, max_iter + 1):
         grad = plan.vertex_sums(g_pair)[:, 1:]
         direction = plan.solve(h_pair, grad)
-        # A singular system leaves a direction that is not finite: its row
-        # takes no step and stops, unconverged.
+        # A singular system, or a gradient a failed line search made NaN,
+        # leaves a direction that is not finite: its row stops, unconverged.
         if not np.isfinite(direction).all():
             failed = ~np.isfinite(direction).all(axis=1)
             direction[failed] = 0.0
@@ -462,25 +461,25 @@ def _newton_rows(d1, d2, ii, jj, n, model: ModelKind, tol, max_iter):
             break
         # Take the full step where the ascent it promises (half the Newton
         # decrement) is below the rounding of the log-likelihood: there a
-        # line search compares noise.  Elsewhere halve until it ascends.
-        # Only searched rows get a log-likelihood: every row's would cost
-        # n = 6 logistic runs about 9 %.
+        # line search compares noise.  Elsewhere halve until it strictly
+        # ascends; a row whose 60 trials, the full step and 59 halvings, find
+        # none stays at x, its gradient NaN.  Only searched rows get a
+        # log-likelihood: every row's would cost n = 6 logistic runs about 9 %.
         decrement = (grad * direction).sum(axis=1)
         search = np.flatnonzero(0.5 * decrement > threshold * np.abs(current))
         value, g_pair, h_pair = _pair_terms(plan.differences(moved), d1, d2, model, search)
-        # A halving trial is x + scale direction.  After 60 failed trials a
-        # row takes the next halving untested, evaluated for its derivatives.
         for halvings in range(1, 61):
-            ascended = value >= current[search]
+            ascended = value > current[search]
             current[search[ascended]] = value[ascended]
             search = search[~ascended]
             if search.size == 0:
                 break
+            if halvings == 60:
+                moved[search], g_pair[search] = x[search], np.nan
+                break
             moved[search] = x[search] + 0.5**halvings * direction[search]
             value, g_pair[search], h_pair[search] = _pair_terms(
-                plan.differences(moved[search]), d1[search], d2[search], model,
-                slice(None) if halvings < 60 else slice(0),
-            )
+                plan.differences(moved[search]), d1[search], d2[search], model, slice(None))
         x = moved
     m[active, 1:] = x
     iterations[active] = max_iter
@@ -502,8 +501,9 @@ def bt_mle(
     Real-valued amounts are fine; only ratios matter.  ``tol`` > 0 bounds the
     distance ||m - m*||_inf to the optimum: the fit stops on its first full
     Newton step whose estimate of the error it leaves, from the sizes of this
-    step and the last, is below ``tol`` / 10, and takes that step;
-    ``max_iter`` >= 1.
+    step and the last, is below ``tol`` / 10, and takes that step.  It raises
+    :class:`NoConvergence` after ``max_iter`` >= 1 steps, on a singular
+    Newton system, or when a step's 60 trials find no strict ascent.
     """
     if not (tol > 0.0 and max_iter >= 1):
         raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
@@ -622,18 +622,18 @@ def _complete_lambda_min(pcm: IPCM, known, completion_tol, max_iter):
             return a, lam, w, step
         # Take the full step where the descent it promises (half the Newton
         # decrement) is below the rounding of f: there a line search compares
-        # noise.  Elsewhere halve until f does not increase, at most 60
-        # times.  Each point is built and decomposed once, unless it leaves t
-        # as it is, and the point taken, matrix and pair, is the next iterate.
+        # noise.  Elsewhere halve, at most 60 times, until a trial moves t
+        # without raising f, or fail.  Each point is built and decomposed once,
+        # unless it leaves t as it is, and the point taken is the next iterate.
         flat = -0.5 * (grad @ direction) <= n * np.finfo(float).eps * max(1.0, abs(current))
-        scale = 1.0
         for halvings in range(61):
-            moved = t + scale * direction
+            moved = t + 0.5**halvings * direction
             trial = a if np.array_equal(moved, t) else completed(moved)
             taken = (lam, w) if trial is a else _perron_pair(trial)
-            if flat or halvings == 60 or math.log(taken[0]) <= current:
+            if flat or trial is not a and math.log(taken[0]) <= current:
                 break
-            scale *= 0.5
+        else:
+            raise NoConvergence("eigenvalue-minimal completion did not converge: no descent", step)
         t, a = moved, trial
         lam, w = taken
         # Convergence is quadratic: the full step leaves about K s^2 to go,
@@ -643,7 +643,7 @@ def _complete_lambda_min(pcm: IPCM, known, completion_tol, max_iter):
         # form s^2 <= (tol / 10) min(1, s'^2 / s), which needs no s' > 0.
         # Where f is flat to rounding, a full step that no longer shrinks is
         # rounding noise in a direction f hardly sees: stop there as well.
-        if (scale == 1.0 and size * size <= bound * min(1.0, previous * previous / size)
+        if (halvings == 0 and size * size <= bound * min(1.0, previous * previous / size)
                 or flat and size >= previous):
             return a, lam, w, step
         previous = size
@@ -667,8 +667,10 @@ def em(
     Newton step's max norm s is at most ``completion_tol``, and stops after
     a step taken in full once K s^2 <= ``completion_tol`` / 10, with
     K = max(s / s'^2, 1) from the previous step s'.  Once log lambda_max is
-    flat to rounding it also stops when the full step stops shrinking.  It
-    raises :class:`NoConvergence` after ``max_iter`` steps.  The eigenpair
+    flat to rounding it also stops when the full step stops shrinking; a
+    step that promises more is halved until it moves t without raising
+    log lambda_max.  It raises :class:`NoConvergence` after ``max_iter``
+    steps, or when 60 halvings of a step find no such point.  The eigenpair
     comes from the dense eigendecomposition and must pass the residual test
     ||A w - lambda w||_inf <= eig_tol * max(1, ||A w||_inf), or
     :class:`NoConvergence` is raised.  ``eig_tol`` > 0, as no floating-point

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import paircomp
 from paircomp import IPCM, ModelKind, core
 from paircomp.core import _breadth_first
 from paircomp.cli import _ranks_descending, build_parser, main
+from paircomp.estimators import DEFAULT_MAX_ITER
 from paircomp.graphs import MAX_CATALOG_N
 from paircomp.simulation import DEFAULT_EPSILON
 from paircomp.fileio import emit_pcm, read_results
@@ -145,6 +147,18 @@ class TestRank:
         code = main(["rank", "--input", str(bad), "--n", "3", "--method", "bt"])
         assert code == 2
         assert "strongly connected" in capsys.readouterr().err
+
+    def test_non_convergence_exits_two(self, capsys, tmp_path):
+        # A subnormal amount passes the Ford test, but the Thurstone fit's
+        # line search finds no ascent: it stops unconverged, well before the
+        # step cap.
+        source = tmp_path / "subnormal.csv"
+        source.write_text("i,j,worse,better\n1,2,5e-324,1\n", encoding="utf-8")
+        code = main(["rank", "--input", str(source), "--method", "thurstone"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "did not converge" in err
+        assert int(re.search(r"after (\d+) iterations", err).group(1)) < DEFAULT_MAX_ITER
 
     def test_bt_needs_pairs_format(self, pcm_file, capsys):
         with pytest.raises(SystemExit) as info:

@@ -45,6 +45,7 @@ from paircomp.estimators import (
     _newton_rows,
     _pair_data,
 )
+from paircomp.graphs import MAX_CATALOG_N
 from paircomp.simulation import SimulationConfig, _draw_rows, _structure_mask, error_bound
 from tests.conftest import GOLDEN_TOL, random_connected_graph, random_merits
 
@@ -292,6 +293,28 @@ class TestEm:
                 assert len(decomposed) == 1
             for a in decomposed:
                 assert all(a[i, j] == value for (i, j), value in pcm.entries.items())
+
+    def test_a_line_search_without_descent_fails(self, monkeypatch):
+        # An inconsistent 5-cycle with chords, whose completion takes three
+        # steps.  Every trial's lambda is made twice the start's, so no
+        # halving descends, and the last halvings round back onto t, which
+        # is never taken either: the completion raises on its first step,
+        # after the full step and 60 halvings, instead of taking the last.
+        pcm = IPCM.from_upper(5, {(0, 1): 2.0, (1, 2): 3.0, (2, 3): 0.5, (3, 4): 2.0,
+                                  (0, 4): 1.5, (1, 3): 4.0})
+        assert em(pcm).iterations == 3
+        perron_pair, trials = estimators._perron_pair, []
+
+        def ascending(matrix):
+            lam, w = perron_pair(matrix)
+            trials.append(lam)
+            return 2.0 * trials[0] if len(trials) > 1 else lam, w
+
+        monkeypatch.setattr(estimators, "_perron_pair", ascending)
+        with pytest.raises(NoConvergence, match="no descent") as caught:
+            em(pcm, max_iter=3)
+        # The start and each trial that moves t are decomposed.
+        assert caught.value.iterations == 1 and 2 <= len(trials) < 1 + 61
 
     def test_completion_stops_at_the_rounding_floor(self):
         # Ratios spanning 1e-6 .. 570 leave log lambda_max flat to rounding
@@ -662,8 +685,9 @@ class TestNewtonKernel:
             assert iterations[r] == alone[1][0] and converged[r] == alone[2][0]
 
         # The start and each Newton step solve once: count the points each
-        # evaluates.  A step that runs out of halvings evaluates its 60 trials,
-        # then the next halving for its derivatives.
+        # evaluates.  A step whose 60 trials find no ascent evaluates them all
+        # and leaves the row where it was; the next step stops it there,
+        # before max_iter and unevaluated.
         per_step = []
         terms, solve = estimators._pair_terms, _Incidence.solve
 
@@ -673,8 +697,10 @@ class TestNewtonKernel:
 
         monkeypatch.setattr(estimators, "_pair_terms", counted_terms)
         monkeypatch.setattr(_Incidence, "solve", lambda *args: per_step.append(0) or solve(*args))
-        _newton_rows(stuck[0][None], stuck[1][None], ii, jj, 4, model, DEFAULT_MLE_TOL, max_iter)
-        assert len(per_step) == 1 + max_iter and max(per_step) == 61
+        _, steps, converged = _newton_rows(stuck[0][None], stuck[1][None], ii, jj, 4, model,
+                                           DEFAULT_MLE_TOL, max_iter)
+        assert not converged[0] and len(per_step) == 1 + steps[0] < 1 + max_iter
+        assert max(per_step) == 60 and per_step[-2:] == [60, 0]
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     def test_a_singular_newton_system_ends_its_row_unconverged(self, model, monkeypatch):
@@ -714,6 +740,32 @@ class TestNewtonKernel:
             bt_mle(data, LOGISTIC)
         assert 0 < caught.value.iterations < DEFAULT_MAX_ITER
         assert finite[-1] is False and all(finite[:-1])
+
+    def test_a_subnormal_amount_stops_on_a_failed_line_search(self):
+        # The Ford test passes, but under the normal model the row's steps
+        # halve until every trial rounds back onto its point: with no strict
+        # ascent in 60 trials it stops there instead of running to max_iter.
+        data = DataMatrix(2, {(0, 1): (5e-324, 1.0)})
+        assert ford_condition(data)
+        with pytest.raises(NoConvergence) as caught:
+            bt_mle(data, NORMAL, max_iter=2000)
+        assert 0 < caught.value.iterations < 2000
+
+    @pytest.mark.parametrize("rows", [3, estimators._FLOAT_ROWS + 3])
+    def test_a_failed_line_search_keeps_the_batch_bits(self, rows):
+        # The subnormal row of the test above in a batch of converging rows:
+        # every row keeps the bits, steps and flag it has when solved alone.
+        rng = np.random.default_rng(127)
+        d1, d2 = rng.uniform(0.1, 2.0, size=(2, rows, 1))
+        d1[1], d2[1] = 5e-324, 1.0
+        ii, jj = np.array([0]), np.array([1])
+        m, iterations, converged = _newton_rows(d1, d2, ii, jj, 2, NORMAL, DEFAULT_MLE_TOL, 2000)
+        assert not converged[1] and iterations[1] < 2000
+        assert np.delete(converged, 1).all()
+        for r in range(rows):
+            alone = _newton_rows(d1[r:r + 1], d2[r:r + 1], ii, jj, 2, NORMAL, DEFAULT_MLE_TOL, 2000)
+            assert m[r].tobytes() == alone[0][0].tobytes()
+            assert iterations[r] == alone[1][0] and converged[r] == alone[2][0]
 
     @pytest.mark.parametrize("model", [LOGISTIC, NORMAL])
     def test_rows_without_a_maximum_are_reported_at_their_start(self, model, monkeypatch):
@@ -872,6 +924,10 @@ class TestColumnSolve:
         assert x[1, 0] == -np.inf and np.isfinite(x[1, 1])
         regular = np.delete(np.arange(rows), 1)
         assert x[regular].tobytes() == plan.solve(weights[regular], rhs[regular]).tobytes()
+
+    def test_no_catalog_size_reaches_lapack(self):
+        # simulate's batches are of catalog sizes, which the recurrence solves.
+        assert estimators._CHOLESKY_MAX_N >= MAX_CATALOG_N
 
     def test_larger_leagues_are_solved_by_lapack(self):
         rng = np.random.default_rng(107)
